@@ -511,7 +511,7 @@ fn read_flag_file(args: &[String], flag: &str) -> Result<String, Box<dyn std::er
 }
 
 /// Resolves the optional `--kernel` flag; absent means the default
-/// event-driven kernel.
+/// compiled kernel.
 fn parse_kernel(args: &[String]) -> Result<modref_sim::SimKernel, Box<dyn std::error::Error>> {
     match flag_value(args, "--kernel") {
         None => Ok(modref_sim::SimKernel::default()),

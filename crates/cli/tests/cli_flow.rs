@@ -235,11 +235,12 @@ fn verified_explore_verdicts_are_kernel_independent() {
             .collect()
     }
 
-    let (ev_out, stderr, ok) = run(&["explore", &spec, "--seeds", "2", "--verify"]);
-    assert!(ok, "event-kernel verify failed: {stderr}");
-    let (co_out, stderr, ok) = run(&[
-        "explore", &spec, "--seeds", "2", "--verify", "--kernel", "compiled",
+    let (ev_out, stderr, ok) = run(&[
+        "explore", &spec, "--seeds", "2", "--verify", "--kernel", "event",
     ]);
+    assert!(ok, "event-kernel verify failed: {stderr}");
+    // No `--kernel`: the default is the compiled kernel.
+    let (co_out, stderr, ok) = run(&["explore", &spec, "--seeds", "2", "--verify"]);
     assert!(ok, "compiled-kernel verify failed: {stderr}");
 
     let (ev, co) = (verdicts(&ev_out), verdicts(&co_out));
@@ -250,7 +251,11 @@ fn verified_explore_verdicts_are_kernel_independent() {
     assert_eq!(ev, co, "verification verdicts must be kernel-independent");
     assert!(
         co_out.contains("(compiled kernel;"),
-        "banner names the kernel: {co_out}"
+        "banner names the default kernel: {co_out}"
+    );
+    assert!(
+        ev_out.contains("(event-driven kernel;"),
+        "banner names the kernel: {ev_out}"
     );
 
     // Unknown kernel names are rejected up front, not defaulted.

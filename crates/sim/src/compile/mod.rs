@@ -20,11 +20,12 @@
 //! 3. **emit** (`emit`) — resolve labels to absolute program counters
 //!    and assemble the final [`CompiledSpec`].
 //!
-//! Execution (`exec`) reuses the event-driven scheduler structure
-//! (sensitivity waiter lists, timer heap, pending-child counts) but runs
-//! each process as a resumable program counter over the flat code — a
-//! single loop whose only control transfer is the opcode dispatch, with
-//! wait points recorded as the pc to resume at.
+//! Execution (`exec`) is the bytecode backend of the one event scheduler
+//! the interpreter also runs under: each process is a resumable program
+//! counter over the flat code — a single loop whose only control
+//! transfer is the opcode dispatch, with wait points recorded as the pc
+//! to resume at. [`SimKernel::Compiled`](crate::SimKernel), the default
+//! kernel, runs it.
 //!
 //! ## Step parity
 //!
@@ -46,7 +47,7 @@ pub(crate) mod optimize;
 use modref_spec::types::ScalarType;
 use modref_spec::{BehaviorId, BinOp, Spec, UnOp};
 
-pub(crate) use exec::run;
+use crate::sched::WaitSlots;
 
 /// An absolute instruction index into [`CompiledSpec::code`]. During
 /// lowering the same representation temporarily holds *label ids*; the
@@ -165,12 +166,11 @@ pub(crate) enum Instr {
 }
 
 /// A `wait until` site: the condition plus its pre-derived sensitivity
-/// lists (sorted, deduplicated slot indices) for waiter-list registration.
+/// (sorted, deduplicated slot indices) for waiter-list registration.
 #[derive(Debug, Clone)]
 pub(crate) struct WaitSite {
     pub cond: ExprRef,
-    pub vars: Box<[u32]>,
-    pub sigs: Box<[u32]>,
+    pub slots: WaitSlots,
 }
 
 /// A `for` loop site: induction variable slot/type, bound expressions

@@ -32,6 +32,14 @@ pub enum SimError {
     /// A parameter name was referenced outside any subroutine call frame
     /// or does not exist in the enclosing frame.
     UnboundParam(String),
+    /// A `wait for` / `delay` would wake past the largest representable
+    /// simulated time.
+    TimeOverflow {
+        /// Simulated time at which the wait was issued.
+        time: u64,
+        /// The requested delay.
+        delay: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -47,6 +55,9 @@ impl fmt::Display for SimError {
                 write!(f, "index {index} out of bounds for `{var}` (len {len})")
             }
             SimError::UnboundParam(name) => write!(f, "unbound parameter `${name}`"),
+            SimError::TimeOverflow { time, delay } => {
+                write!(f, "simulated time overflows: wait for {delay} at t={time}")
+            }
         }
     }
 }

@@ -20,13 +20,14 @@
 //!   `wait until` re-evaluate when the scheduler next runs them.
 //! * Processes are stepped in a deterministic order (ascending process
 //!   id within each scheduling round). Three kernels implement the same
-//!   semantics: the default event-driven kernel wakes blocked processes
-//!   from [sensitivity]-indexed waiter lists and a timer heap;
-//!   [`SimKernel::Compiled`] keeps that scheduler but executes behaviors
-//!   lowered to flat bytecode (see [`compile`]); and
-//!   [`SimKernel::RoundRobin`] is the original polling scheduler,
-//!   retained as an executable reference. All three produce identical
-//!   observable results — including step counts.
+//!   semantics. [`SimKernel::Compiled`] and [`SimKernel::EventDriven`]
+//!   share one event scheduler that wakes blocked processes from
+//!   [sensitivity]-indexed waiter lists and a timer heap; the default,
+//!   Compiled, executes behaviors lowered to flat bytecode (see
+//!   [`compile`]), EventDriven interprets the AST. [`SimKernel::RoundRobin`]
+//!   is the original polling scheduler, retained as an executable
+//!   reference. All three produce identical observable results —
+//!   including step counts.
 //! * The simulation ends when the *root* process (the top behavior)
 //!   completes; infinite server loops (memory behaviors, arbiters, bus
 //!   interfaces inserted by refinement) are then terminated.
@@ -55,6 +56,7 @@ pub mod compile;
 pub mod error;
 pub mod process;
 pub mod result;
+mod sched;
 pub mod sensitivity;
 pub mod simulator;
 pub mod trace;

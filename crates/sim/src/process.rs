@@ -10,6 +10,11 @@
 //! EXPERIMENTS.md. Parameter frames are small `(name, value)` vectors
 //! scanned from the innermost end, matching the insertion-order-overwrite
 //! semantics a per-call name map would have.
+//!
+//! `Interpreter` runs these processes under the shared event scheduler
+//! (`crate::sched`); the round-robin reference steps them directly.
+
+use std::collections::HashMap;
 
 use modref_spec::stmt::CallArg;
 use modref_spec::{
@@ -18,6 +23,7 @@ use modref_spec::{
 };
 
 use crate::error::SimError;
+use crate::sched::{wake_time, Backend, WaitSlots, Yield};
 use crate::trace::{SimTrace, TraceId, TraceSink};
 use crate::value::{truthy, wrap_scalar, Storage};
 
@@ -33,7 +39,7 @@ pub(crate) struct SharedState {
     /// Number of times each behavior started executing, indexed by
     /// behavior id — a dynamic activation profile.
     pub activations: Vec<u64>,
-    /// Variables written since the event-driven kernel last drained the
+    /// Variables written since the event scheduler last drained the
     /// queue (deduplicated via `var_dirty`). The round-robin kernel never
     /// drains it, which is fine: the dedup flags bound it at one entry
     /// per variable.
@@ -131,7 +137,7 @@ impl SharedState {
     }
 
     /// Records a variable write for both the stats counter and the
-    /// event-driven kernel's change queue.
+    /// event scheduler's change queue.
     #[inline]
     pub(crate) fn note_var_write(&mut self, idx: usize) {
         self.var_writes += 1;
@@ -212,59 +218,32 @@ pub(crate) enum Frame<'a> {
     Conc { behavior: BehaviorId, spawned: bool },
 }
 
-/// Scheduling status of a process.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Status<'a> {
-    Ready,
-    /// Blocked on `wait until`; the scheduler re-evaluates the condition.
-    WaitUntil(&'a Expr),
-    /// Sleeping until the given absolute time.
-    WaitTime(u64),
-    /// Waiting for spawned child processes (by process index) to finish.
-    WaitChildren(Vec<usize>),
-    Done,
-}
-
 /// What a micro-step did.
 #[derive(Debug)]
-pub(crate) enum StepEvent {
+pub(crate) enum StepEvent<'a> {
     /// Executed one statement (or frame bookkeeping).
     Progress,
-    /// The process blocked (its status has been updated).
-    Blocked,
+    /// The process blocked on a `wait until` whose condition is false.
+    WaitUntil(&'a Expr),
+    /// The process sleeps until the given absolute time.
+    Sleep(u64),
     /// The process needs child processes for these behaviors.
-    SpawnChildren(Vec<BehaviorId>),
+    SpawnChildren(&'a [BehaviorId]),
     /// The frame stack emptied: the process's behavior completed.
     Completed,
 }
 
-/// A lightweight process interpreting one concurrent behavior.
+/// A lightweight process interpreting one concurrent behavior: only its
+/// frame stack. Scheduling state (status, parent, spawned children) is
+/// the scheduler's.
 #[derive(Debug)]
 pub(crate) struct Process<'a> {
-    /// The behavior this process interprets (trace wake events and
-    /// diagnostics).
-    pub behavior: BehaviorId,
-    pub name: &'a str,
-    pub frames: Vec<Frame<'a>>,
-    pub status: Status<'a>,
-    /// Whether the behavior is a server (infinite service loop) that must
-    /// not block its parent composite's completion.
-    pub is_server: bool,
-    /// Process indices of children this process spawned (for recursive
-    /// termination when a composite completes past its servers).
-    pub spawned: Vec<usize>,
+    frames: Vec<Frame<'a>>,
 }
 
 impl<'a> Process<'a> {
     pub(crate) fn new(spec: &'a Spec, behavior: BehaviorId) -> Self {
-        let mut p = Self {
-            behavior,
-            name: spec.behavior(behavior).name(),
-            frames: Vec::new(),
-            status: Status::Ready,
-            is_server: spec.behavior(behavior).is_server(),
-            spawned: Vec::new(),
-        };
+        let mut p = Self { frames: Vec::new() };
         p.push_behavior(spec, behavior);
         p
     }
@@ -290,9 +269,8 @@ impl<'a> Process<'a> {
         spec: &'a Spec,
         state: &mut SharedState,
         now: u64,
-    ) -> Result<StepEvent, SimError> {
+    ) -> Result<StepEvent<'a>, SimError> {
         let Some(top) = self.frames.last_mut() else {
-            self.status = Status::Done;
             return Ok(StepEvent::Completed);
         };
 
@@ -364,8 +342,9 @@ impl<'a> Process<'a> {
                     Ok(StepEvent::Progress)
                 } else {
                     *spawned = true;
-                    let children = spec.behavior(*behavior).children().to_vec();
-                    Ok(StepEvent::SpawnChildren(children))
+                    Ok(StepEvent::SpawnChildren(
+                        spec.behavior(*behavior).children(),
+                    ))
                 }
             }
         }
@@ -377,7 +356,7 @@ impl<'a> Process<'a> {
         state: &mut SharedState,
         behavior: BehaviorId,
         pos: SeqPos,
-    ) -> Result<StepEvent, SimError> {
+    ) -> Result<StepEvent<'a>, SimError> {
         let children = spec.behavior(behavior).children();
         match pos {
             SeqPos::NotStarted => {
@@ -455,7 +434,7 @@ impl<'a> Process<'a> {
         state: &mut SharedState,
         now: u64,
         stmt: &'a Stmt,
-    ) -> Result<StepEvent, SimError> {
+    ) -> Result<StepEvent<'a>, SimError> {
         let advance = |frames: &mut Vec<Frame>| {
             if let Some(Frame::Block { pc, .. }) = frames.last_mut() {
                 *pc += 1;
@@ -483,15 +462,13 @@ impl<'a> Process<'a> {
                     advance(&mut self.frames);
                     Ok(StepEvent::Progress)
                 } else {
-                    self.status = Status::WaitUntil(cond);
-                    Ok(StepEvent::Blocked)
+                    Ok(StepEvent::WaitUntil(cond))
                 }
             }
             Stmt::Wait(WaitCond::For(n)) | Stmt::Delay(n) => {
-                let wake = now + n;
+                let wake = wake_time(now, *n)?;
                 advance(&mut self.frames);
-                self.status = Status::WaitTime(wake);
-                Ok(StepEvent::Blocked)
+                Ok(StepEvent::Sleep(wake))
             }
             Stmt::If {
                 cond,
@@ -689,6 +666,85 @@ impl<'a> Process<'a> {
             }
             LValue::Param(name) => self.write_param(name, value),
         }
+    }
+}
+
+/// The interpreter as an event-scheduler backend: each process is a
+/// [`Process`] micro-stepped until it leaves the ready state.
+///
+/// Wait conditions are borrowed from the spec, so a condition's address
+/// identifies its `wait until` site; sites are interned to ids on first
+/// block, with their sensitivity derived once.
+#[derive(Debug)]
+pub(crate) struct Interpreter<'a> {
+    spec: &'a Spec,
+    site_ids: HashMap<*const Expr, u32>,
+    sites: Vec<(&'a Expr, WaitSlots)>,
+}
+
+impl<'a> Interpreter<'a> {
+    pub(crate) fn new(spec: &'a Spec) -> Self {
+        Self {
+            spec,
+            site_ids: HashMap::new(),
+            sites: Vec::new(),
+        }
+    }
+
+    fn intern(&mut self, cond: &'a Expr) -> u32 {
+        let sites = &mut self.sites;
+        *self.site_ids.entry(cond as *const Expr).or_insert_with(|| {
+            sites.push((cond, WaitSlots::of(cond)));
+            sites.len() as u32 - 1
+        })
+    }
+}
+
+impl<'a> Backend<'a> for Interpreter<'a> {
+    type Proc = Process<'a>;
+
+    fn start(&self, behavior: BehaviorId) -> Process<'a> {
+        Process::new(self.spec, behavior)
+    }
+
+    fn run(
+        &mut self,
+        proc: &mut Process<'a>,
+        state: &mut SharedState,
+        now: u64,
+        steps: &mut u64,
+        max_steps: u64,
+    ) -> Result<Yield<'a>, SimError> {
+        loop {
+            *steps += 1;
+            if *steps > max_steps {
+                return Err(SimError::StepLimitExceeded { limit: max_steps });
+            }
+            match proc.step(self.spec, state, now)? {
+                StepEvent::Progress => {}
+                StepEvent::WaitUntil(cond) => return Ok(Yield::WaitUntil(self.intern(cond))),
+                StepEvent::Sleep(t) => return Ok(Yield::Sleep(t)),
+                StepEvent::SpawnChildren(children) => return Ok(Yield::Spawn(children)),
+                StepEvent::Completed => return Ok(Yield::Done),
+            }
+        }
+    }
+
+    fn holds(
+        &mut self,
+        proc: &Process<'a>,
+        site: u32,
+        state: &SharedState,
+    ) -> Result<bool, SimError> {
+        Ok(truthy(proc.eval(
+            self.spec,
+            state,
+            self.sites[site as usize].0,
+        )?))
+    }
+
+    fn wait_slots(&self, site: u32) -> &WaitSlots {
+        &self.sites[site as usize].1
     }
 }
 

@@ -12,8 +12,8 @@ use crate::value::Storage;
 /// regressions are observable (`modref simulate --stats`).
 ///
 /// These describe *how* the scheduler reached the result, not the result
-/// itself: the two kernels produce identical observable outcomes with very
-/// different counter profiles (the event-driven kernel's `cond_evals` is a
+/// itself: the kernels produce identical observable outcomes with very
+/// different counter profiles (the event scheduler's `cond_evals` is a
 /// small fraction of the round-robin kernel's — the wakeups avoided).
 /// They are therefore excluded from [`SimResult`]'s equality.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -24,14 +24,16 @@ pub struct SchedStats {
     pub cond_evals: u64,
     /// Processes woken from `wait until` blocks.
     pub wakeups: u64,
-    /// Timer-queue pops (event-driven kernel) or sleeper-scan passes
+    /// Timer-queue pops (event scheduler) or sleeper-scan passes
     /// (round-robin kernel) performed to advance time.
     pub timer_pops: u64,
-    /// Bytecode instructions executed (compiled kernel only; equals
-    /// `steps` there, since one instruction is one micro-step).
+    /// Micro-steps the event scheduler dispatched — bytecode
+    /// instructions under the compiled kernel, where one instruction is
+    /// one micro-step. Equals `steps` under both event-scheduler
+    /// kernels; zero under round-robin.
     pub instrs: u64,
-    /// Dispatch-loop entries (compiled kernel only): how many times a
-    /// ready process was resumed at its saved program counter.
+    /// Process dispatches by the event scheduler: how many times a ready
+    /// process was run until it blocked (zero under round-robin).
     pub dispatches: u64,
 }
 

@@ -1,6 +1,6 @@
-//! The scheduler: an event-driven kernel (default), a compiled bytecode
-//! kernel, and the original polling round-robin scheduler, retained as a
-//! behavioral reference.
+//! The simulator front end and its three kernels: the compiled bytecode
+//! kernel (the default), the event-driven interpreter, and the original
+//! polling round-robin scheduler, retained as a behavioral reference.
 //!
 //! All kernels implement the same delta-cycle semantics — step every
 //! ready process to a block point, then wake processes whose wait
@@ -12,54 +12,42 @@
 //! * **Round-robin** re-evaluates *every* blocked `wait until`
 //!   condition and rescans *every* process's child/server status each
 //!   round, so a round costs O(total processes).
-//! * **Event-driven** registers each blocked condition against its
-//!   [sensitivity set](crate::sensitivity) in per-variable/per-signal
-//!   waiter lists, and only re-evaluates conditions whose sensitivities
-//!   were actually written (a dirty set maintained by the interpreter's
-//!   write path). Sleepers sit in a binary-heap timer queue instead of
-//!   being found by linear scan, and composites track a pending
-//!   non-server child count instead of rescanning all processes. Scratch
-//!   buffers (ready lists, recheck queues, dirty sets) are reused across
-//!   rounds.
-//! * **Compiled** ([`SimKernel::Compiled`]) keeps the event-driven
-//!   scheduler structure but executes behaviors as flat bytecode produced
-//!   by the [`compile`](crate::compile) lowering pipeline instead of
-//!   tree-walking the AST — see that module for the instruction set and
-//!   the step-parity guarantee.
-//!
-//! Waiter-list entries are stamped with a per-process *block epoch*;
-//! waking or re-blocking bumps the epoch, so stale entries are recognized
-//! lazily and purged during scans (and by amortized compaction on
-//! insert), with no eager deregistration needed. The timer heap uses the
-//! same trick implicitly: an entry is live only while its process still
-//! sleeps until exactly that time.
+//! * **Event-driven** and **Compiled** share one event scheduler
+//!   (`crate::sched`): blocked conditions register against their
+//!   [sensitivity sets](crate::sensitivity) in per-variable/per-signal
+//!   waiter lists and are re-evaluated only when something they read was
+//!   written, sleepers sit in a timer heap, and composites count their
+//!   pending children. Event-driven runs behaviors on the tree-walking
+//!   interpreter ([`crate::process`]); Compiled runs them as flat
+//!   bytecode produced by the [`compile`](crate::compile) lowering
+//!   pipeline — see that module for the instruction set and the
+//!   step-parity guarantee.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use modref_spec::{BehaviorId, Expr, Spec};
 
-use modref_spec::{Expr, Spec};
-
+use crate::compile::exec::Bytecode;
 use crate::error::SimError;
-use crate::process::{Process, SharedState, Status, StepEvent};
+use crate::process::{Interpreter, Process, SharedState, StepEvent};
 use crate::result::{
     SimResult, METER_NAMES, SLOT_COND_EVALS, SLOT_ROUNDS, SLOT_TIMER_POPS, SLOT_WAKEUPS,
 };
-use crate::sensitivity::SensitivitySet;
+use crate::sched::{self, Status};
 use crate::value::truthy;
 
 /// Which scheduling kernel executes the specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimKernel {
-    /// Sensitivity-driven wakeups, timer heap, pending-child counts.
-    #[default]
+    /// The event scheduler running behaviors on the tree-walking
+    /// interpreter.
     EventDriven,
     /// The original polling scheduler: every round re-evaluates every
     /// blocked condition. Kept as an executable reference for
     /// equivalence testing and as the bench baseline.
     RoundRobin,
-    /// The event-driven scheduler running behaviors lowered to flat
-    /// bytecode with slot-interned state (see [`crate::compile`]) —
-    /// the fastest kernel on every benched workload.
+    /// The event scheduler running behaviors lowered to flat bytecode
+    /// with slot-interned state (see [`crate::compile`]) — the fastest
+    /// kernel on every benched workload, and the default.
+    #[default]
     Compiled,
 }
 
@@ -105,8 +93,34 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             max_steps: 5_000_000,
-            kernel: SimKernel::EventDriven,
+            kernel: SimKernel::default(),
             trace: false,
+        }
+    }
+}
+
+/// A round-robin process: the interpreter's frames plus the scheduling
+/// state the polling loop keeps beside them.
+#[derive(Debug)]
+struct RrProcess<'a> {
+    proc: Process<'a>,
+    behavior: BehaviorId,
+    status: Status<&'a Expr>,
+    /// Servers (infinite service loops) do not hold up their parent
+    /// composite's completion.
+    is_server: bool,
+    /// Children this process spawned, for recursive server termination.
+    spawned: Vec<usize>,
+}
+
+impl<'a> RrProcess<'a> {
+    fn new(spec: &'a Spec, behavior: BehaviorId) -> Self {
+        Self {
+            proc: Process::new(spec, behavior),
+            behavior,
+            status: Status::Ready,
+            is_server: spec.behavior(behavior).is_server(),
+            spawned: Vec::new(),
         }
     }
 }
@@ -118,75 +132,6 @@ impl Default for SimConfig {
 pub struct Simulator<'a> {
     spec: &'a Spec,
     config: SimConfig,
-}
-
-/// Per-variable (or per-signal) lists of blocked processes, entries
-/// stamped `(pid, block epoch)`. Entries go stale when the process wakes
-/// (epoch bump) and are purged lazily: during wake scans, and by
-/// amortized compaction when a list doubles past its last known live
-/// size — so lists for never-written variables cannot grow unboundedly.
-/// Shared by the event-driven and compiled kernels.
-pub(crate) struct WaiterTable {
-    lists: Vec<Vec<(usize, u64)>>,
-    compact_at: Vec<usize>,
-}
-
-impl WaiterTable {
-    const MIN_COMPACT: usize = 16;
-
-    pub(crate) fn new(n: usize) -> Self {
-        Self {
-            lists: vec![Vec::new(); n],
-            compact_at: vec![Self::MIN_COMPACT; n],
-        }
-    }
-
-    pub(crate) fn add(
-        &mut self,
-        idx: usize,
-        pid: usize,
-        epoch: u64,
-        live: impl Fn(usize, u64) -> bool,
-    ) {
-        let list = &mut self.lists[idx];
-        list.push((pid, epoch));
-        if list.len() >= self.compact_at[idx] {
-            list.retain(|&(p, e)| live(p, e));
-            self.compact_at[idx] = (list.len() * 2).max(Self::MIN_COMPACT);
-        }
-    }
-
-    /// Collects the live waiters of `idx` into `out` (deduplicated via
-    /// `seen`), dropping stale entries as it goes.
-    pub(crate) fn scan(
-        &mut self,
-        idx: usize,
-        out: &mut Vec<usize>,
-        seen: &mut [bool],
-        live: impl Fn(usize, u64) -> bool,
-    ) {
-        let list = &mut self.lists[idx];
-        list.retain(|&(p, e)| {
-            if live(p, e) {
-                if !seen[p] {
-                    seen[p] = true;
-                    out.push(p);
-                }
-                true
-            } else {
-                false
-            }
-        });
-        self.compact_at[idx] = (list.len() * 2).max(Self::MIN_COMPACT);
-    }
-}
-
-impl std::fmt::Debug for WaiterTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WaiterTable")
-            .field("lists", &self.lists.len())
-            .finish()
-    }
 }
 
 impl<'a> Simulator<'a> {
@@ -211,268 +156,14 @@ impl<'a> Simulator<'a> {
     /// * [`SimError::Deadlock`] when all live processes block forever,
     /// * evaluation errors (out-of-bounds indices, unbound parameters).
     pub fn run(&self) -> Result<SimResult, SimError> {
-        let kernel = match self.config.kernel {
-            SimKernel::EventDriven => {
-                Self::run_event_driven as fn(&Self) -> Result<SimResult, SimError>
-            }
-            SimKernel::RoundRobin => Self::run_round_robin,
-            SimKernel::Compiled => Self::run_compiled,
-        };
         let _span = modref_obs::span("sim.run").attr("kernel", self.config.kernel.name());
-        kernel(self)
-    }
-
-    /// The compiled kernel: lower the spec to bytecode, then run the
-    /// event-driven scheduler over compiled processes.
-    fn run_compiled(&self) -> Result<SimResult, SimError> {
-        let program = crate::compile::compile(self.spec);
-        crate::compile::run(self.spec, &program, &self.config)
-    }
-
-    /// The event-driven kernel.
-    fn run_event_driven(&self) -> Result<SimResult, SimError> {
-        let spec = self.spec;
-        // Sensitivity sets cached per wait *site*: conditions are borrowed
-        // from the spec, so their addresses identify the site without
-        // hashing the expression tree on every block.
-        let mut sens: HashMap<*const Expr, SensitivitySet> = HashMap::new();
-        let mut state = SharedState::init(spec);
-        if self.config.trace {
-            state.enable_trace();
-        }
-        state.activations[spec.top().index()] += 1;
-        let mut processes: Vec<Process> = vec![Process::new(spec, spec.top())];
-        let mut now: u64 = 0;
-        let mut steps: u64 = 0;
-        let mut meter = modref_obs::Meter::new(METER_NAMES);
-
-        // Scheduler bookkeeping, indexed by process id.
-        let mut parent: Vec<Option<usize>> = vec![None];
-        let mut pending_children: Vec<usize> = vec![0];
-        let mut epoch: Vec<u64> = vec![0];
-        let mut seen: Vec<bool> = vec![false];
-        let mut var_waiters = WaiterTable::new(spec.variable_count());
-        let mut sig_waiters = WaiterTable::new(spec.signal_count());
-        let mut timers: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-
-        // Round-scratch buffers, reused across rounds.
-        let mut ready: Vec<usize> = vec![0];
-        let mut woken: Vec<usize> = Vec::new();
-        let mut recheck: Vec<usize> = Vec::new();
-        let mut finished_parents: Vec<usize> = Vec::new();
-        let mut kill_list: Vec<usize> = Vec::new();
-        let mut dirty_v: Vec<usize> = Vec::new();
-        let mut dirty_s: Vec<usize> = Vec::new();
-
-        loop {
-            meter.inc(SLOT_ROUNDS);
-
-            // Phase 1: step each ready process until it blocks/completes,
-            // in ascending pid order (children spawn with larger pids, so
-            // appending preserves the order the round-robin kernel uses).
-            let mut i = 0;
-            while i < ready.len() {
-                let pid = ready[i];
-                i += 1;
-                while matches!(processes[pid].status, Status::Ready) {
-                    steps += 1;
-                    if steps > self.config.max_steps {
-                        return Err(SimError::StepLimitExceeded {
-                            limit: self.config.max_steps,
-                        });
-                    }
-                    let event = processes[pid].step(spec, &mut state, now)?;
-                    match event {
-                        StepEvent::Progress => {}
-                        StepEvent::Blocked => match processes[pid].status {
-                            Status::WaitUntil(cond) => {
-                                // Register against the condition's
-                                // sensitivity set. An empty set means the
-                                // condition is constant while blocked —
-                                // it was false, stays false, and only the
-                                // deadlock check will ever see it.
-                                let ep = epoch[pid];
-                                let s = sens
-                                    .entry(cond as *const Expr)
-                                    .or_insert_with(|| SensitivitySet::of(cond));
-                                for v in &s.vars {
-                                    var_waiters.add(v.index(), pid, ep, |p, e| {
-                                        epoch[p] == e
-                                            && matches!(processes[p].status, Status::WaitUntil(_))
-                                    });
-                                }
-                                for sg in &s.signals {
-                                    sig_waiters.add(sg.index(), pid, ep, |p, e| {
-                                        epoch[p] == e
-                                            && matches!(processes[p].status, Status::WaitUntil(_))
-                                    });
-                                }
-                            }
-                            Status::WaitTime(t) => timers.push(Reverse((t, pid))),
-                            _ => {}
-                        },
-                        StepEvent::Completed => {
-                            if let Some(par) = parent[pid] {
-                                if !processes[pid].is_server {
-                                    pending_children[par] -= 1;
-                                    if pending_children[par] == 0 {
-                                        finished_parents.push(par);
-                                    }
-                                }
-                            }
-                        }
-                        StepEvent::SpawnChildren(children) => {
-                            let mut ids = Vec::with_capacity(children.len());
-                            let mut live = 0;
-                            for c in children {
-                                let cid = processes.len();
-                                ids.push(cid);
-                                state.activations[c.index()] += 1;
-                                let child = Process::new(spec, c);
-                                if !child.is_server {
-                                    live += 1;
-                                }
-                                processes.push(child);
-                                parent.push(Some(pid));
-                                pending_children.push(0);
-                                epoch.push(0);
-                                seen.push(false);
-                                ready.push(cid);
-                            }
-                            processes[pid].spawned.extend(ids.iter().copied());
-                            pending_children[pid] = live;
-                            processes[pid].status = Status::WaitChildren(ids);
-                            if live == 0 {
-                                finished_parents.push(pid);
-                            }
-                        }
-                    }
-                }
-            }
-            ready.clear();
-
-            // Phase 2a: re-evaluate only the conditions whose
-            // sensitivities were actually written this round.
-            dirty_v = state.take_dirty_vars(dirty_v);
-            for &vi in &dirty_v {
-                var_waiters.scan(vi, &mut recheck, &mut seen, |p, e| {
-                    epoch[p] == e && matches!(processes[p].status, Status::WaitUntil(_))
-                });
-            }
-            dirty_s = state.take_dirty_signals(dirty_s);
-            for &si in &dirty_s {
-                sig_waiters.scan(si, &mut recheck, &mut seen, |p, e| {
-                    epoch[p] == e && matches!(processes[p].status, Status::WaitUntil(_))
-                });
-            }
-            for pid in recheck.drain(..) {
-                seen[pid] = false;
-                let p = &processes[pid];
-                let wake = match p.status {
-                    Status::WaitUntil(cond) => {
-                        meter.inc(SLOT_COND_EVALS);
-                        truthy(p.eval(spec, &state, cond)?)
-                    }
-                    _ => false,
-                };
-                if wake {
-                    meter.inc(SLOT_WAKEUPS);
-                    // Bump the epoch so remaining waiter entries go stale.
-                    epoch[pid] += 1;
-                    processes[pid].status = Status::Ready;
-                    woken.push(pid);
-                }
-            }
-
-            // Phase 2b: wake composites whose last counted (non-server)
-            // child completed this round, then terminate their servers
-            // (and anything those spawned) recursively. Kills run after
-            // all wakes, matching the reference kernel's
-            // snapshot-then-kill order.
-            for par in finished_parents.drain(..) {
-                if let Status::WaitChildren(ids) = &processes[par].status {
-                    kill_list.extend(ids.iter().copied().filter(|&c| processes[c].is_server));
-                    epoch[par] += 1;
-                    processes[par].status = Status::Ready;
-                    woken.push(par);
-                }
-            }
-            while let Some(k) = kill_list.pop() {
-                if !matches!(processes[k].status, Status::Done) {
-                    processes[k].status = Status::Done;
-                    kill_list.extend(processes[k].spawned.iter().copied());
-                }
-            }
-
-            // Termination: root process finished.
-            if matches!(processes[0].status, Status::Done) {
-                let trace = state.take_trace();
-                return Ok(SimResult::collect(
-                    spec, &state, now, steps, true, &meter, trace,
-                ));
-            }
-
-            if !woken.is_empty() {
-                // Wakes arrive in notification order; restore pid order
-                // for the next round's sweep. Wake events are recorded
-                // *after* the sort so the trace shows the pid order every
-                // kernel dispatches (and the reference kernel wakes) in.
-                woken.sort_unstable();
-                if state.trace.is_some() {
-                    for &pid in &woken {
-                        let b = processes[pid].behavior.index();
-                        state.trace_wake(pid, b);
-                    }
-                }
-                std::mem::swap(&mut ready, &mut woken);
-                continue;
-            }
-
-            // Phase 3: advance time via the timer heap, discarding stale
-            // entries (processes killed or re-scheduled since pushing).
-            let next_wake = loop {
-                match timers.peek() {
-                    Some(&Reverse((t, pid))) => {
-                        if matches!(processes[pid].status, Status::WaitTime(w) if w == t) {
-                            break Some(t);
-                        }
-                        timers.pop();
-                        meter.inc(SLOT_TIMER_POPS);
-                    }
-                    None => break None,
-                }
-            };
-            match next_wake {
-                Some(t) => {
-                    now = t.max(now);
-                    state.trace_time(now);
-                    while let Some(&Reverse((t2, pid))) = timers.peek() {
-                        if t2 > now {
-                            break;
-                        }
-                        timers.pop();
-                        meter.inc(SLOT_TIMER_POPS);
-                        if matches!(processes[pid].status, Status::WaitTime(w) if w == t2) {
-                            processes[pid].status = Status::Ready;
-                            ready.push(pid);
-                        }
-                    }
-                    ready.sort_unstable();
-                    if state.trace.is_some() {
-                        for &pid in &ready {
-                            let b = processes[pid].behavior.index();
-                            state.trace_wake(pid, b);
-                        }
-                    }
-                }
-                None => {
-                    let blocked: Vec<String> = processes
-                        .iter()
-                        .filter(|p| !matches!(p.status, Status::Done))
-                        .map(|p| p.name.to_string())
-                        .collect();
-                    return Err(SimError::Deadlock { time: now, blocked });
-                }
+        let (spec, config) = (self.spec, &self.config);
+        match config.kernel {
+            SimKernel::EventDriven => sched::run(spec, config, Interpreter::new(spec)),
+            SimKernel::RoundRobin => self.run_round_robin(),
+            SimKernel::Compiled => {
+                let program = crate::compile::compile(spec);
+                sched::run(spec, config, Bytecode::new(spec, &program))
             }
         }
     }
@@ -485,7 +176,7 @@ impl<'a> Simulator<'a> {
             state.enable_trace();
         }
         state.activations[spec.top().index()] += 1;
-        let mut processes: Vec<Process> = vec![Process::new(spec, spec.top())];
+        let mut processes = vec![RrProcess::new(spec, spec.top())];
         let mut now: u64 = 0;
         let mut steps: u64 = 0;
         let mut meter = modref_obs::Meter::new(METER_NAMES);
@@ -502,17 +193,20 @@ impl<'a> Simulator<'a> {
                             limit: self.config.max_steps,
                         });
                     }
-                    let event = processes[pid].step(spec, &mut state, now)?;
+                    let event = processes[pid].proc.step(spec, &mut state, now)?;
                     match event {
                         StepEvent::Progress => {}
-                        // `step` updated the status; fall out of the loop.
-                        StepEvent::Blocked | StepEvent::Completed => {}
+                        StepEvent::WaitUntil(cond) => {
+                            processes[pid].status = Status::WaitUntil(cond);
+                        }
+                        StepEvent::Sleep(t) => processes[pid].status = Status::WaitTime(t),
+                        StepEvent::Completed => processes[pid].status = Status::Done,
                         StepEvent::SpawnChildren(children) => {
                             let mut ids = Vec::with_capacity(children.len());
-                            for c in children {
+                            for &c in children {
                                 ids.push(processes.len());
                                 state.activations[c.index()] += 1;
-                                processes.push(Process::new(spec, c));
+                                processes.push(RrProcess::new(spec, c));
                             }
                             processes[pid].spawned.extend(ids.iter().copied());
                             processes[pid].status = Status::WaitChildren(ids);
@@ -537,7 +231,7 @@ impl<'a> Simulator<'a> {
                 let wake = match &p.status {
                     Status::WaitUntil(cond) => {
                         meter.inc(SLOT_COND_EVALS);
-                        let woke = truthy(p.eval(spec, &state, cond)?);
+                        let woke = truthy(p.proc.eval(spec, &state, cond)?);
                         if woke {
                             meter.inc(SLOT_WAKEUPS);
                         }
@@ -609,7 +303,7 @@ impl<'a> Simulator<'a> {
                     let blocked: Vec<String> = processes
                         .iter()
                         .filter(|p| !matches!(p.status, Status::Done))
-                        .map(|p| p.name.to_string())
+                        .map(|p| spec.behavior(p.behavior).name().to_string())
                         .collect();
                     return Err(SimError::Deadlock { time: now, blocked });
                 }

@@ -12,6 +12,7 @@ use modref::core::api::{Codesign, ExploreOpts, LintOpts, SimOpts, VerifyOpts};
 use modref::core::{refine, ImplModel};
 use modref::graph::AccessGraph;
 use modref::partition::parse_partition;
+use modref::sim::{SimConfig, SimKernel};
 use modref::spec::{printer, SourceMap};
 use modref::workloads::{named_partition, named_spec};
 
@@ -126,6 +127,11 @@ fn estimate_report_is_byte_identical() {
 
 #[test]
 fn simulation_matches_on_every_workload() {
+    // The facade, the simulator and verification all default to the
+    // compiled kernel, so "legacy" and "facade" below run the same one.
+    assert_eq!(SimConfig::default().kernel, SimKernel::Compiled);
+    assert_eq!(SimOpts::new().kernel, SimKernel::Compiled);
+    assert_eq!(VerifyOpts::new().kernel, SimKernel::Compiled);
     // `ring` has no published partition but simulates fine — include it.
     for workload in ["medical", "fig2", "dsp", "ring"] {
         let spec = named_spec(workload).expect("shipped workload");

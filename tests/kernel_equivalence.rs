@@ -71,6 +71,10 @@ fn assert_kernels_agree(spec: &Spec, max_steps: u64, context: &str) {
             assert_eq!(c.sched.wakeups, e.sched.wakeups, "{context}: wakeups");
             assert_eq!(e.sched.rounds, r.sched.rounds, "{context}: rounds");
             assert_eq!(c.sched.rounds, e.sched.rounds, "{context}: rounds");
+            assert_eq!(
+                c.sched.dispatches, e.sched.dispatches,
+                "{context}: dispatches"
+            );
             // One instruction per micro-step, and at least one dispatch.
             assert_eq!(c.sched.instrs, c.steps, "{context}: instrs == steps");
             assert!(c.sched.dispatches > 0, "{context}: dispatches counted");
@@ -210,6 +214,52 @@ fn kernels_agree_on_deadlock_verdict() {
         }
         other => panic!("expected deadlock, got {other:?}"),
     }
+}
+
+/// Time-overflow verdicts agree: a third `wait for i64::MAX` would wake
+/// past `u64::MAX`, and every kernel refuses it with the same error
+/// instead of wrapping the clock.
+#[test]
+fn kernels_agree_on_time_overflow_verdict() {
+    let mut b = SpecBuilder::new("overflow");
+    let a = b.leaf("A", vec![stmt::wait_for(i64::MAX as u64); 3]);
+    let top = b.seq_in_order("Top", vec![a]);
+    let spec = b.finish(top).expect("valid");
+    assert_kernels_agree(&spec, 1_000, "time overflow");
+    assert_eq!(
+        run_kernel(&spec, SimKernel::Compiled, 1_000),
+        Err(SimError::TimeOverflow {
+            time: 2 * (i64::MAX as u64),
+            delay: i64::MAX as u64,
+        })
+    );
+}
+
+/// A server that wakes in the same round its parent's last counted child
+/// completes is killed, not run: the wake and the kill land in one round,
+/// and the killed server must not execute (or be revived) the round after.
+#[test]
+fn kernels_agree_on_server_killed_as_it_wakes() {
+    let mut b = SpecBuilder::new("kill_on_wake");
+    let go = b.var_int("go", 16, 0);
+    let y = b.var_int("y", 16, 0);
+    let client = b.leaf(
+        "Client",
+        vec![stmt::delay(1), stmt::assign(go, expr::lit(1))],
+    );
+    let srv = b.leaf_server(
+        "Srv",
+        vec![stmt::infinite_loop(vec![
+            stmt::wait_until(expr::eq(expr::var(go), expr::lit(1))),
+            stmt::assign(y, expr::lit(5)),
+            stmt::wait_until(expr::eq(expr::var(go), expr::lit(0))),
+        ])],
+    );
+    let top = b.concurrent("Top", vec![client, srv]);
+    let spec = b.finish(top).expect("valid");
+    assert_kernels_agree(&spec, 1_000, "server killed as it wakes");
+    let r = run_kernel(&spec, SimKernel::Compiled, 1_000).expect("completes");
+    assert_eq!(r.var_by_name("y"), Some(0), "the killed server never ran");
 }
 
 /// A never-woken waiter must not leak unbounded scheduler work: the
