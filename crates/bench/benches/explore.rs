@@ -14,6 +14,7 @@
 use std::time::Instant;
 
 use modref_bench::harness::Criterion;
+use modref_bench::record::{self, fixed, obj, text, uint, Value};
 use modref_bench::{criterion_group, criterion_main};
 
 use modref_graph::AccessGraph;
@@ -154,28 +155,35 @@ fn measure(
     }
 }
 
-fn json(records: &[Record]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"explore\",\n  \"workloads\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"name\": \"{}\",\n      \"behaviors\": {},\n      \"leaves\": {},\n      \"move_evals\": {},\n      \"full_ns_per_eval\": {:.1},\n      \"incremental_ns_per_eval\": {:.1},\n      \"speedup\": {:.2},\n      \"explore_candidates\": {},\n      \"explore_secs_serial\": {:.4},\n      \"explore_secs_parallel\": {:.4},\n      \"explore_threads\": {},\n      \"explore_candidates_per_sec\": {:.1}\n    }}{}\n",
-            r.name,
-            r.behaviors,
-            r.leaves,
-            r.evals,
-            r.full_ns_per_eval,
-            r.incremental_ns_per_eval,
-            r.speedup,
-            r.explore_candidates,
-            r.explore_secs_serial,
-            r.explore_secs_parallel,
-            r.explore_threads,
-            r.explore_candidates as f64 / r.explore_secs_parallel.max(1e-9),
-            if i + 1 == records.len() { "" } else { "," }
-        ));
+impl Record {
+    fn to_json(&self) -> Value {
+        obj([
+            ("name", text(self.name)),
+            ("behaviors", uint(self.behaviors)),
+            ("leaves", uint(self.leaves)),
+            ("move_evals", uint(self.evals)),
+            ("full_ns_per_eval", fixed(self.full_ns_per_eval, 1)),
+            (
+                "incremental_ns_per_eval",
+                fixed(self.incremental_ns_per_eval, 1),
+            ),
+            ("speedup", fixed(self.speedup, 2)),
+            ("explore_candidates", uint(self.explore_candidates)),
+            ("explore_secs_serial", fixed(self.explore_secs_serial, 4)),
+            (
+                "explore_secs_parallel",
+                fixed(self.explore_secs_parallel, 4),
+            ),
+            ("explore_threads", uint(self.explore_threads)),
+            (
+                "explore_candidates_per_sec",
+                fixed(
+                    self.explore_candidates as f64 / self.explore_secs_parallel.max(1e-9),
+                    1,
+                ),
+            ),
+        ])
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 fn bench_explore(c: &mut Criterion) {
@@ -234,9 +242,14 @@ fn bench_explore(c: &mut Criterion) {
         );
     }
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_explore.json");
-    std::fs::write(path, json(&records)).expect("write BENCH_explore.json");
-    eprintln!("wrote {path}");
+    let workloads = records.iter().map(Record::to_json).collect();
+    record::write(
+        "explore",
+        &obj([
+            ("bench", text("explore")),
+            ("workloads", Value::Arr(workloads)),
+        ]),
+    );
 }
 
 criterion_group!(benches, bench_explore);

@@ -19,9 +19,9 @@
 //! spent on those discriminant checks (acceptance: < 1%), and the wall
 //! clock of a fully traced run against an untraced one.
 
-use std::time::Instant;
-
 use modref_bench::harness::Criterion;
+use modref_bench::record::{self, fixed, obj, text, uint};
+use modref_bench::{best_time_ns, time_ns};
 use modref_bench::{criterion_group, criterion_main};
 
 use modref_graph::AccessGraph;
@@ -40,55 +40,6 @@ fn explore_once(spec: &Spec, graph: &AccessGraph, alloc: &Allocation) -> usize {
         threads: Some(1),
     };
     explore(spec, graph, alloc, &CostConfig::default(), &expl).len()
-}
-
-/// Mean ns/iteration of `f` over `iters` calls.
-fn time_ns<R>(iters: u64, mut f: impl FnMut() -> R) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    start.elapsed().as_secs_f64() * 1e9 / iters as f64
-}
-
-/// Best mean ns/iteration over several batches — scheduling noise on a
-/// shared machine only ever *adds* time, so min-of-batches is the
-/// stable estimator for the off/on ratio.
-fn best_time_ns<R>(batches: u32, iters: u64, mut f: impl FnMut() -> R) -> f64 {
-    (0..batches)
-        .map(|_| time_ns(iters, &mut f))
-        .fold(f64::INFINITY, f64::min)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn json_out(
-    explore_ns_off: f64,
-    explore_ns_on: f64,
-    span_disabled_ns: f64,
-    counter_disabled_ns: f64,
-    spans_per_run: u64,
-    counter_bumps_per_run: u64,
-    disabled_pct: f64,
-    enabled_pct: f64,
-    sim: &SimTraceRow,
-) -> String {
-    format!(
-        "{{\n  \"bench\": \"obs_overhead\",\n  \"workload\": \"medical explore, 4 seeds, 1 thread\",\n  \"explore_ms_disabled\": {:.3},\n  \"explore_ms_enabled\": {:.3},\n  \"span_disabled_ns\": {:.2},\n  \"counter_disabled_ns\": {:.2},\n  \"spans_per_run\": {},\n  \"counter_bumps_per_run\": {},\n  \"disabled_overhead_pct\": {:.3},\n  \"enabled_overhead_pct\": {:.2},\n  \"disabled_limit_pct\": 2.0,\n  \"enabled_limit_pct\": 10.0,\n  \"sim_workload\": \"ring(8, 12) simulation, default kernel\",\n  \"sim_ms_untraced\": {:.3},\n  \"sim_ms_traced\": {:.3},\n  \"trace_events_per_run\": {},\n  \"trace_check_disabled_ns\": {:.2},\n  \"trace_disabled_overhead_pct\": {:.3},\n  \"trace_enabled_overhead_pct\": {:.2},\n  \"trace_disabled_limit_pct\": 1.0\n}}\n",
-        explore_ns_off / 1e6,
-        explore_ns_on / 1e6,
-        span_disabled_ns,
-        counter_disabled_ns,
-        spans_per_run,
-        counter_bumps_per_run,
-        disabled_pct,
-        enabled_pct,
-        sim.ns_untraced / 1e6,
-        sim.ns_traced / 1e6,
-        sim.events_per_run,
-        sim.check_disabled_ns,
-        sim.disabled_pct,
-        sim.enabled_pct,
-    )
 }
 
 struct SimTraceRow {
@@ -226,23 +177,34 @@ fn bench_obs_overhead(c: &mut Criterion) {
         sim.disabled_pct,
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    std::fs::write(
-        path,
-        json_out(
-            explore_ns_off,
-            explore_ns_on,
-            span_disabled_ns,
-            counter_disabled_ns,
-            spans_per_run,
-            counter_bumps_per_run,
-            disabled_pct,
-            enabled_pct,
-            &sim,
-        ),
-    )
-    .expect("write BENCH_obs.json");
-    eprintln!("wrote {path}");
+    record::write(
+        "obs",
+        &obj([
+            ("bench", text("obs_overhead")),
+            ("workload", text("medical explore, 4 seeds, 1 thread")),
+            ("explore_ms_disabled", fixed(explore_ns_off / 1e6, 3)),
+            ("explore_ms_enabled", fixed(explore_ns_on / 1e6, 3)),
+            ("span_disabled_ns", fixed(span_disabled_ns, 2)),
+            ("counter_disabled_ns", fixed(counter_disabled_ns, 2)),
+            ("spans_per_run", uint(spans_per_run)),
+            ("counter_bumps_per_run", uint(counter_bumps_per_run)),
+            ("disabled_overhead_pct", fixed(disabled_pct, 3)),
+            ("enabled_overhead_pct", fixed(enabled_pct, 2)),
+            ("disabled_limit_pct", fixed(2.0, 1)),
+            ("enabled_limit_pct", fixed(10.0, 1)),
+            (
+                "sim_workload",
+                text("ring(8, 12) simulation, default kernel"),
+            ),
+            ("sim_ms_untraced", fixed(sim.ns_untraced / 1e6, 3)),
+            ("sim_ms_traced", fixed(sim.ns_traced / 1e6, 3)),
+            ("trace_events_per_run", uint(sim.events_per_run)),
+            ("trace_check_disabled_ns", fixed(sim.check_disabled_ns, 2)),
+            ("trace_disabled_overhead_pct", fixed(sim.disabled_pct, 3)),
+            ("trace_enabled_overhead_pct", fixed(sim.enabled_pct, 2)),
+            ("trace_disabled_limit_pct", fixed(1.0, 1)),
+        ]),
+    );
 }
 
 criterion_group!(benches, bench_obs_overhead);

@@ -20,6 +20,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use modref_bench::harness::Criterion;
+use modref_bench::record::{self, fixed, obj, text, uint, Value};
 use modref_bench::{criterion_group, criterion_main};
 
 use modref_core::api::{Request, RequestOp, SpecSource};
@@ -179,30 +180,19 @@ fn run_level(sessions: usize) -> (Record, Vec<String>) {
     (record, responses)
 }
 
-fn json(records: &[Record], saturation_rps: f64) -> String {
-    let mut out = String::from("{\n  \"bench\": \"serve\",\n");
-    out.push_str(&format!(
-        "  \"requests_per_session\": {REQS_PER_SESSION},\n"
-    ));
-    out.push_str(&format!(
-        "  \"saturation_throughput_rps\": {saturation_rps:.1},\n  \"levels\": [\n"
-    ));
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"sessions\": {},\n      \"requests\": {},\n      \"cache_hits\": {},\n      \"wall_ms\": {:.1},\n      \"throughput_rps\": {:.1},\n      \"request_p50_us\": {:.1},\n      \"request_p99_us\": {:.1},\n      \"request_mean_us\": {:.1}\n    }}{}\n",
-            r.sessions,
-            r.requests,
-            r.cache_hits,
-            r.wall_ms,
-            r.throughput_rps,
-            r.p50_us,
-            r.p99_us,
-            r.mean_us,
-            if i + 1 == records.len() { "" } else { "," }
-        ));
+impl Record {
+    fn to_json(&self) -> Value {
+        obj([
+            ("sessions", uint(self.sessions)),
+            ("requests", uint(self.requests)),
+            ("cache_hits", uint(self.cache_hits)),
+            ("wall_ms", fixed(self.wall_ms, 1)),
+            ("throughput_rps", fixed(self.throughput_rps, 1)),
+            ("request_p50_us", fixed(self.p50_us, 1)),
+            ("request_p99_us", fixed(self.p99_us, 1)),
+            ("request_mean_us", fixed(self.mean_us, 1)),
+        ])
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 fn bench_serve_load(c: &mut Criterion) {
@@ -255,9 +245,16 @@ fn bench_serve_load(c: &mut Criterion) {
     }
     eprintln!("saturation throughput: {saturation_rps:.1} req/s");
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, json(&records, saturation_rps)).expect("write BENCH_serve.json");
-    eprintln!("wrote {path}");
+    let levels = records.iter().map(Record::to_json).collect();
+    record::write(
+        "serve",
+        &obj([
+            ("bench", text("serve")),
+            ("requests_per_session", uint(REQS_PER_SESSION)),
+            ("saturation_throughput_rps", fixed(saturation_rps, 1)),
+            ("levels", Value::Arr(levels)),
+        ]),
+    );
 }
 
 /// Peak session count: `MODREF_SERVE_SESSIONS` (default 1000).

@@ -20,6 +20,7 @@
 use std::time::Instant;
 
 use modref_bench::harness::Criterion;
+use modref_bench::record::{self, fixed, obj, text, uint, Value};
 use modref_bench::{criterion_group, criterion_main};
 
 use modref_core::{refine, ImplModel};
@@ -119,31 +120,29 @@ fn measure(name: impl Into<String>, spec: &Spec, reps: u32) -> Record {
     }
 }
 
-fn json(records: &[Record]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"sim\",\n  \"workloads\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"name\": \"{}\",\n      \"concurrent_leaves\": {},\n      \"steps\": {},\n      \"roundrobin_ns_per_step\": {:.1},\n      \"event_ns_per_step\": {:.1},\n      \"compiled_ns_per_step\": {:.1},\n      \"speedup\": {:.2},\n      \"compiled_speedup\": {:.2},\n      \"roundrobin_cond_evals\": {},\n      \"event_cond_evals\": {},\n      \"cond_evals_avoided\": {},\n      \"wakeups\": {},\n      \"rounds\": {},\n      \"instrs\": {},\n      \"dispatches\": {}\n    }}{}\n",
-            r.name,
-            r.concurrent_leaves,
-            r.steps,
-            r.roundrobin_ns_per_step,
-            r.event_ns_per_step,
-            r.compiled_ns_per_step,
-            r.speedup,
-            r.compiled_speedup,
-            r.roundrobin_cond_evals,
-            r.event_cond_evals,
-            r.cond_evals_avoided,
-            r.wakeups,
-            r.rounds,
-            r.instrs,
-            r.dispatches,
-            if i + 1 == records.len() { "" } else { "," }
-        ));
+impl Record {
+    fn to_json(&self) -> Value {
+        obj([
+            ("name", text(&self.name)),
+            ("concurrent_leaves", uint(self.concurrent_leaves)),
+            ("steps", uint(self.steps)),
+            (
+                "roundrobin_ns_per_step",
+                fixed(self.roundrobin_ns_per_step, 1),
+            ),
+            ("event_ns_per_step", fixed(self.event_ns_per_step, 1)),
+            ("compiled_ns_per_step", fixed(self.compiled_ns_per_step, 1)),
+            ("speedup", fixed(self.speedup, 2)),
+            ("compiled_speedup", fixed(self.compiled_speedup, 2)),
+            ("roundrobin_cond_evals", uint(self.roundrobin_cond_evals)),
+            ("event_cond_evals", uint(self.event_cond_evals)),
+            ("cond_evals_avoided", uint(self.cond_evals_avoided)),
+            ("wakeups", uint(self.wakeups)),
+            ("rounds", uint(self.rounds)),
+            ("instrs", uint(self.instrs)),
+            ("dispatches", uint(self.dispatches)),
+        ])
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// The medical workload refined to Model4 — arbiters, bus interfaces
@@ -204,9 +203,11 @@ fn bench_sim_kernel(c: &mut Criterion) {
         );
     }
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
-    std::fs::write(path, json(&records)).expect("write BENCH_sim.json");
-    eprintln!("wrote {path}");
+    let workloads = records.iter().map(Record::to_json).collect();
+    record::write(
+        "sim",
+        &obj([("bench", text("sim")), ("workloads", Value::Arr(workloads))]),
+    );
 }
 
 criterion_group!(benches, bench_sim_kernel);

@@ -14,30 +14,14 @@
 //! gate is only worth running before the simulator if it is orders of
 //! magnitude cheaper.
 
-use std::time::Instant;
-
+use modref_bench::best_time_ns;
 use modref_bench::harness::Criterion;
+use modref_bench::record::{self, fixed, obj, text, uint, Value};
 use modref_bench::{criterion_group, criterion_main};
 
 use modref_analyze::{analyze_spec, deadlock_lints};
 use modref_spec::{SourceMap, Spec};
 use modref_workloads::{named_spec, SynthConfig, SynthSpec, WORKLOAD_NAMES};
-
-/// Mean ns/iteration of `f` over `iters` calls.
-fn time_ns<R>(iters: u64, mut f: impl FnMut() -> R) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    start.elapsed().as_secs_f64() * 1e9 / iters as f64
-}
-
-/// Best mean over several batches — noise only adds time.
-fn best_time_ns<R>(batches: u32, iters: u64, mut f: impl FnMut() -> R) -> f64 {
-    (0..batches)
-        .map(|_| time_ns(iters, &mut f))
-        .fold(f64::INFINITY, f64::min)
-}
 
 struct Row {
     name: String,
@@ -91,29 +75,27 @@ fn bench_static_analysis(c: &mut Criterion) {
         rows.push(measure(&format!("synth{leaves}"), &spec));
     }
 
-    let mut json = String::from("{\n  \"bench\": \"static_analysis\",\n  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
+    for row in &rows {
         eprintln!(
             "{:>10}: {:>3} behaviors, analyze {:>9.1} ns, deadlock family {:>9.1} ns",
             row.name, row.behaviors, row.analyze_ns, row.deadlock_ns
         );
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"behaviors\": {}, \"analyze_ns\": {:.1}, \"deadlock_ns\": {:.1}}}{}\n",
-            row.name,
-            row.behaviors,
-            row.analyze_ns,
-            row.deadlock_ns,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
     }
-    json.push_str("  ]\n}\n");
-
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_static_analysis.json"
+    let rows = rows.iter().map(|row| {
+        obj([
+            ("workload", text(&row.name)),
+            ("behaviors", uint(row.behaviors)),
+            ("analyze_ns", fixed(row.analyze_ns, 1)),
+            ("deadlock_ns", fixed(row.deadlock_ns, 1)),
+        ])
+    });
+    record::write(
+        "static_analysis",
+        &obj([
+            ("bench", text("static_analysis")),
+            ("rows", Value::Arr(rows.collect())),
+        ]),
     );
-    std::fs::write(path, json).expect("write BENCH_static_analysis.json");
-    eprintln!("wrote {path}");
 }
 
 criterion_group!(benches, bench_static_analysis);

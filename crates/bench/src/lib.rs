@@ -1,9 +1,11 @@
 //! Shared helpers for the modref benchmark harness: paper-style table
 //! rendering, the fixed experiment grid (3 designs × 4 models), and a
 //! minimal Criterion-compatible measurement harness ([`harness`]) so the
-//! benches run without network access to crates.io.
+//! benches run without network access to crates.io, and the one
+//! `BENCH_*.json` record writer ([`record`]).
 
 pub mod harness;
+pub mod record;
 
 use modref_core::ImplModel;
 use modref_workloads::Design;
@@ -14,6 +16,24 @@ pub fn grid() -> Vec<(Design, ImplModel)> {
         .iter()
         .flat_map(|&d| ImplModel::ALL.iter().map(move |&m| (d, m)))
         .collect()
+}
+
+/// Mean ns/iteration of `f` over `iters` calls.
+pub fn time_ns<R>(iters: u64, mut f: impl FnMut() -> R) -> f64 {
+    let start = std::time::Instant::now();
+    for _ in 0..iters {
+        std::hint::black_box(f());
+    }
+    start.elapsed().as_secs_f64() * 1e9 / iters as f64
+}
+
+/// Best mean ns/iteration over several batches — scheduling noise on a
+/// shared machine only ever *adds* time, so min-of-batches is the
+/// stable estimator.
+pub fn best_time_ns<R>(batches: u32, iters: u64, mut f: impl FnMut() -> R) -> f64 {
+    (0..batches)
+        .map(|_| time_ns(iters, &mut f))
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Renders a simple aligned table: a header row and data rows.

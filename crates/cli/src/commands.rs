@@ -495,7 +495,7 @@ pub fn serve(stdio: bool, listen: Option<&str>, cfg: modref_core::serve::ServeCo
                 cfg.workers, cfg.queue
             );
         }
-        modref_core::serve::serve_stdio(&cfg)
+        modref_core::serve::serve(std::io::stdin().lock(), std::io::stdout(), &cfg)
     } else {
         return Err("serve needs a transport: `--stdio` or `--listen <addr>`".into());
     };

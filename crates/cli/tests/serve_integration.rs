@@ -29,6 +29,35 @@ fn spawn_serve(extra: &[&str]) -> Child {
         .expect("modref serve spawns")
 }
 
+/// Spawns `modref serve --listen 127.0.0.1:0` and returns it with the
+/// address read from its stderr banner.
+fn spawn_listen(extra: &[&str]) -> (Child, String) {
+    let mut child = Command::new(BIN)
+        .args(["serve", "--listen", "127.0.0.1:0"])
+        .args(extra)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("modref serve spawns");
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
+    let mut banner = String::new();
+    stderr.read_line(&mut banner).expect("listen banner");
+    assert!(
+        banner.contains("listening on"),
+        "unexpected banner: {banner}"
+    );
+    let addr = banner
+        .trim()
+        .rsplit(' ')
+        .next()
+        .expect("address in banner")
+        .to_string();
+    // Keep draining: the exit summary must not hit a closed pipe.
+    thread::spawn(move || for _ in stderr.lines() {});
+    (child, addr)
+}
+
 /// Closes stdin, reads every response line, and asserts a clean exit.
 fn drain(mut child: Child) -> Vec<Response> {
     drop(child.stdin.take());
@@ -151,36 +180,9 @@ fn tcp_connections_share_the_spec_cache() {
         "modref_serve_cache_trace_{}.jsonl",
         std::process::id()
     ));
-    let mut child = Command::new(BIN)
-        .args([
-            "serve",
-            "--listen",
-            "127.0.0.1:0",
-            "--max-conns",
-            "2",
-            "--workers",
-            "2",
-            "--trace",
-        ])
-        .arg(&trace_path)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("modref serve spawns");
-    let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
-    let mut banner = String::new();
-    stderr.read_line(&mut banner).expect("listen banner");
-    let addr = banner
-        .trim()
-        .rsplit(' ')
-        .next()
-        .expect("address in banner")
-        .to_string();
-    assert!(
-        banner.contains("listening on"),
-        "unexpected banner: {banner}"
-    );
+    let trace_arg = trace_path.to_str().expect("utf-8 temp path");
+    let (mut child, addr) =
+        spawn_listen(&["--max-conns", "2", "--workers", "2", "--trace", trace_arg]);
 
     let spec = "spec shared;\nvar x : int<16> = 0;\n\
                 behavior L leaf { x := x + 1; }\n\
@@ -217,6 +219,25 @@ fn tcp_connections_share_the_spec_cache() {
         "second connection must hit the shared spec cache"
     );
     assert!(trace.counter("serve.connections").unwrap_or(0) >= 2);
+}
+
+/// The v2 golden session sent over one TCP connection is answered
+/// byte-identically to stdio: both transports run the same session.
+#[test]
+fn v2_golden_session_over_tcp_matches_stdio() {
+    use std::net::TcpStream;
+    let session = include_str!("data/serve_session_v2.jsonl");
+    let golden = include_str!("data/serve_session_v2.golden.jsonl");
+    let (mut child, addr) = spawn_listen(&["--workers", "1", "--max-conns", "1"]);
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream.write_all(session.as_bytes()).expect("session sent");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut out = String::new();
+    stream.read_to_string(&mut out).expect("responses read");
+    assert!(child.wait().expect("server exits").success());
+    assert_eq!(out, golden, "TCP responses diverged from the v2 golden");
 }
 
 /// A streamed explore emits progress frames strictly before its final

@@ -9,10 +9,13 @@
 //!
 //! Production-scale serving model:
 //!
-//! * **one shared pool** — [`serve_listener`] multiplexes every TCP
-//!   connection onto a single bounded worker pool (one reader thread
-//!   per connection, `serve.connections` counter), so a thousand idle
-//!   clients cost a thousand parked readers, not a thousand pools;
+//! * **one session body** — [`serve`] (one reader/writer pair, such as
+//!   stdin/stdout) and [`serve_listener`] (every accepted TCP
+//!   connection) run the same session: one bounded job queue, one
+//!   worker pool, one in-flight registry and one set of counters. A TCP
+//!   connection only adds a reader thread (`serve.connections`
+//!   counter), so a thousand idle clients cost a thousand parked
+//!   readers, not a thousand pools;
 //! * **spec cache** — specs are content-addressed ([`spec_hash`]) and
 //!   parsed once into a shared session ([`ServeConfig::cache_capacity`]
 //!   entries, LRU-evicted); the v2 `load_spec` op returns the hash and
@@ -31,9 +34,10 @@
 //! dead server:
 //!
 //! * **deadlines** — each request may carry `deadline_ms` (or inherit
-//!   [`ServeConfig::default_deadline_ms`]); a reaper thread expires the
-//!   request's [`CancelToken`] when time runs out and the client gets a
-//!   `timeout` error;
+//!   [`ServeConfig::default_deadline_ms`]), counted from when its line
+//!   is read, so queue wait counts. The request's [`CancelToken`]
+//!   carries it ([`CancelToken::with_deadline`]): the first checkpoint
+//!   past it stops the work and the client gets a `timeout` error;
 //! * **cancellation** — a `cancel` request flips the target's token
 //!   (ids are scoped per connection); in-flight explorations stop at
 //!   their next checkpoint and answer with a `cancelled` error, while
@@ -102,9 +106,6 @@ use crate::api::{
 };
 
 use cache::SpecCache;
-
-/// How often the deadline reaper scans in-flight requests.
-const REAPER_TICK: Duration = Duration::from_millis(2);
 
 /// Server configuration. `#[non_exhaustive]` — construct with
 /// [`ServeConfig::default`] and the builder methods.
@@ -209,47 +210,32 @@ pub struct ServeStats {
     pub malformed: u64,
 }
 
-impl ServeStats {
-    /// Accumulates another session's counts.
-    pub fn merge(&mut self, other: &ServeStats) {
-        self.accepted += other.accepted;
-        self.completed += other.completed;
-        self.errors += other.errors;
-        self.cancelled += other.cancelled;
-        self.timeouts += other.timeouts;
-        self.overloaded += other.overloaded;
-        self.malformed += other.malformed;
-    }
+/// An event a session counts, in [`ServeStats`] field order.
+#[derive(Clone, Copy)]
+enum Counted {
+    Accepted,
+    Completed,
+    Errors,
+    Cancelled,
+    Timeouts,
+    Overloaded,
+    Malformed,
 }
 
-#[derive(Default)]
-struct AtomicStats {
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    errors: AtomicU64,
-    cancelled: AtomicU64,
-    timeouts: AtomicU64,
-    overloaded: AtomicU64,
-    malformed: AtomicU64,
-}
-
-impl AtomicStats {
-    fn snapshot(&self) -> ServeStats {
-        ServeStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            overloaded: self.overloaded.load(Ordering::Relaxed),
-            malformed: self.malformed.load(Ordering::Relaxed),
-        }
-    }
-}
+/// The `serve.*` trace counter of each [`Counted`] event, by index.
+const COUNTER_NAMES: [&str; 7] = [
+    "serve.accepted",
+    "serve.completed",
+    "serve.errors",
+    "serve.cancelled",
+    "serve.timeout",
+    "serve.overloaded",
+    "serve.malformed",
+];
 
 /// In-flight request registry, keyed `(connection id, request id)` —
 /// request ids are client-chosen and only unique per connection.
-type Registry = Mutex<HashMap<(u64, u64), (CancelToken, Option<Instant>)>>;
+type Registry = Mutex<HashMap<(u64, u64), CancelToken>>;
 
 /// The state every connection and worker shares: configuration, the
 /// spec cache, the in-flight registry and the counters.
@@ -257,7 +243,7 @@ struct Core<'c> {
     cfg: &'c ServeConfig,
     cache: SpecCache,
     registry: Registry,
-    stats: AtomicStats,
+    counts: [AtomicU64; COUNTER_NAMES.len()],
     session_span: u64,
 }
 
@@ -267,8 +253,28 @@ impl<'c> Core<'c> {
             cfg,
             cache: SpecCache::new(cfg.cache_capacity),
             registry: Mutex::new(HashMap::new()),
-            stats: AtomicStats::default(),
+            counts: Default::default(),
             session_span,
+        }
+    }
+
+    /// Counts one event: its [`ServeStats`] field and its `serve.*`
+    /// trace counter move together.
+    fn count(&self, event: Counted) {
+        self.counts[event as usize].fetch_add(1, Ordering::Relaxed);
+        modref_obs::counter(COUNTER_NAMES[event as usize]).inc();
+    }
+
+    fn stats(&self) -> ServeStats {
+        let n = |event: Counted| self.counts[event as usize].load(Ordering::Relaxed);
+        ServeStats {
+            accepted: n(Counted::Accepted),
+            completed: n(Counted::Completed),
+            errors: n(Counted::Errors),
+            cancelled: n(Counted::Cancelled),
+            timeouts: n(Counted::Timeouts),
+            overloaded: n(Counted::Overloaded),
+            malformed: n(Counted::Malformed),
         }
     }
 
@@ -300,7 +306,7 @@ impl<'c> Core<'c> {
     /// Cancels every in-flight request of a disconnected connection.
     fn cancel_conn(&self, conn_id: u64) {
         modref_obs::counter("serve.disconnects").inc();
-        for ((conn, _), (token, _)) in lock(&self.registry).iter() {
+        for ((conn, _), token) in lock(&self.registry).iter() {
             if *conn == conn_id {
                 token.cancel();
             }
@@ -373,109 +379,76 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// session's [`ServeStats`]. See the [module docs](self) for the
 /// serving and robustness model and an example.
 pub fn serve<R: BufRead, W: Write + Send>(reader: R, writer: W, cfg: &ServeConfig) -> ServeStats {
-    let session = modref_obs::span("serve.session").attr("workers", cfg.workers.max(1));
-    let core = Core::new(cfg, session.id());
     let conn = Arc::new(Conn::new(0, Box::new(writer)));
-    let (tx, rx) = mpsc::sync_channel::<Job<'_>>(cfg.queue.max(1));
-    let rx = Mutex::new(rx);
-    let drained = AtomicBool::new(false);
+    session(cfg, |core, tx| read_loop(reader, &conn, tx, core)).0
+}
 
-    thread::scope(|s| {
+/// Accepts TCP connections and serves each in ONE shared session: each
+/// connection gets a reader thread, every request lands on the same
+/// queue (so [`ServeConfig::queue`] is the global backpressure bound),
+/// and the spec cache is shared — two clients loading the same spec
+/// share one parse. Stops accepting after
+/// [`ServeConfig::max_connections`] connections (forever when `None`),
+/// drains, and returns the pooled [`ServeStats`].
+pub fn serve_listener(listener: TcpListener, cfg: &ServeConfig) -> std::io::Result<ServeStats> {
+    let (stats, accepted) = session(cfg, |core, tx| {
+        thread::scope(|s| {
+            let limit = cfg.max_connections.map_or(u64::MAX, |max| max as u64);
+            let mut readers = Vec::new();
+            let mut accepted = Ok(());
+            for id in 1..=limit {
+                let stream = match listener.accept() {
+                    Ok((stream, _)) => stream,
+                    Err(e) => {
+                        accepted = Err(e);
+                        break;
+                    }
+                };
+                modref_obs::counter("serve.connections").inc();
+                let tx = tx.clone();
+                readers.push(s.spawn(move || {
+                    let Ok(read_half) = stream.try_clone() else {
+                        return;
+                    };
+                    let conn = Arc::new(Conn::new(id, Box::new(stream)));
+                    read_loop(BufReader::new(read_half), &conn, &tx, core);
+                }));
+            }
+            for r in readers {
+                let _ = r.join();
+            }
+            accepted
+        })
+    });
+    accepted.map(|()| stats)
+}
+
+/// The one session body behind [`serve`] and [`serve_listener`]: the
+/// session span, the shared [`Core`], the bounded queue and its worker
+/// pool. `feed` runs on the calling thread and enqueues requests; when
+/// it returns the queue closes, queued work drains and the workers are
+/// joined.
+fn session<'w, T>(
+    cfg: &ServeConfig,
+    feed: impl FnOnce(&Core<'_>, &SyncSender<Job<'w>>) -> T,
+) -> (ServeStats, T) {
+    let span = modref_obs::span("serve.session").attr("workers", cfg.workers.max(1));
+    let core = Core::new(cfg, span.id());
+    let (tx, rx) = mpsc::sync_channel::<Job<'w>>(cfg.queue.max(1));
+    let rx = Mutex::new(rx);
+    let fed = thread::scope(|s| {
         let workers: Vec<_> = (0..cfg.workers.max(1))
             .map(|_| s.spawn(|| worker_loop(&rx, &core)))
             .collect();
-        let reaper = s.spawn(|| {
-            while !drained.load(Ordering::Relaxed) {
-                reap_deadlines(&core.registry);
-                thread::sleep(REAPER_TICK);
-            }
-        });
-
-        read_loop(reader, &conn, &tx, &core);
-
+        let fed = feed(&core, &tx);
         drop(tx); // close the queue: workers drain and exit
         for w in workers {
             let _ = w.join();
         }
-        drained.store(true, Ordering::Relaxed);
-        let _ = reaper.join();
+        fed
     });
-    drop(session);
-    core.stats.snapshot()
-}
-
-/// Serves one session over stdin/stdout (the `modref serve --stdio`
-/// transport).
-pub fn serve_stdio(cfg: &ServeConfig) -> ServeStats {
-    let stdin = std::io::stdin();
-    serve(stdin.lock(), std::io::stdout(), cfg)
-}
-
-/// Accepts TCP connections and multiplexes all of them onto ONE shared
-/// bounded worker pool: each connection gets a reader thread, every
-/// request lands on the same queue (so [`ServeConfig::queue`] is the
-/// global backpressure bound), and the spec cache is shared — two
-/// clients loading the same spec share one parse. Stops accepting after
-/// [`ServeConfig::max_connections`] connections (forever when `None`),
-/// drains, and returns the pooled [`ServeStats`].
-pub fn serve_listener(listener: TcpListener, cfg: &ServeConfig) -> std::io::Result<ServeStats> {
-    let session = modref_obs::span("serve.session").attr("workers", cfg.workers.max(1));
-    let core = Core::new(cfg, session.id());
-    let (tx, rx) = mpsc::sync_channel::<Job<'static>>(cfg.queue.max(1));
-    let rx = Mutex::new(rx);
-    let drained = AtomicBool::new(false);
-    let mut accept_err = None;
-
-    thread::scope(|s| {
-        let core = &core;
-        let rx = &rx;
-        let workers: Vec<_> = (0..cfg.workers.max(1))
-            .map(|_| s.spawn(move || worker_loop(rx, core)))
-            .collect();
-        let reaper = s.spawn(|| {
-            while !drained.load(Ordering::Relaxed) {
-                reap_deadlines(&core.registry);
-                thread::sleep(REAPER_TICK);
-            }
-        });
-
-        let mut readers = Vec::new();
-        let mut accepted = 0usize;
-        while cfg.max_connections.is_none_or(|max| accepted < max) {
-            let (stream, _) = match listener.accept() {
-                Ok(conn) => conn,
-                Err(e) => {
-                    accept_err = Some(e);
-                    break;
-                }
-            };
-            accepted += 1;
-            modref_obs::counter("serve.connections").inc();
-            let conn_id = accepted as u64;
-            let tx = tx.clone();
-            readers.push(s.spawn(move || {
-                let Ok(read_half) = stream.try_clone() else {
-                    return;
-                };
-                let conn = Arc::new(Conn::new(conn_id, Box::new(stream)));
-                read_loop(BufReader::new(read_half), &conn, &tx, core);
-            }));
-        }
-        for r in readers {
-            let _ = r.join();
-        }
-        drop(tx); // all reader clones are gone too: workers drain and exit
-        for w in workers {
-            let _ = w.join();
-        }
-        drained.store(true, Ordering::Relaxed);
-        let _ = reaper.join();
-    });
-    drop(session);
-    match accept_err {
-        Some(e) => Err(e),
-        None => Ok(core.stats.snapshot()),
-    }
+    drop(span);
+    (core.stats(), fed)
 }
 
 /// The reader half of one connection: decodes lines, acknowledges
@@ -498,8 +471,7 @@ fn read_loop<'w, R: BufRead>(
         let req = match Request::from_json(&line) {
             Ok(req) => req,
             Err(e) => {
-                core.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                modref_obs::counter("serve.malformed").inc();
+                core.count(Counted::Malformed);
                 // Salvage the id when the object had one, so the client
                 // can still correlate; 0 otherwise.
                 let id = modref_obs::json::parse(&line)
@@ -516,7 +488,7 @@ fn read_loop<'w, R: BufRead>(
 
         if let RequestOp::Cancel { target } = req.op {
             let found = match lock(&core.registry).get(&(conn.id, target)) {
-                Some((token, _)) => {
+                Some(token) => {
                     token.cancel();
                     true
                 }
@@ -528,21 +500,20 @@ fn read_loop<'w, R: BufRead>(
             continue;
         }
 
-        let token = CancelToken::new();
-        let deadline = req
-            .deadline_ms
-            .or(core.cfg.default_deadline_ms)
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
+        let token = match req.deadline_ms.or(core.cfg.default_deadline_ms) {
+            Some(ms) => CancelToken::with_deadline(Instant::now() + Duration::from_millis(ms)),
+            None => CancelToken::new(),
+        };
         {
             let mut reg = lock(&core.registry);
             if reg.contains_key(&(conn.id, req.id)) {
                 drop(reg);
                 let e = ModrefError::InvalidRequest(format!("id {} is already in flight", req.id));
-                core.stats.malformed.fetch_add(1, Ordering::Relaxed);
+                core.count(Counted::Malformed);
                 conn.send(core, &Response::err(req.id, &e).to_json_line());
                 continue;
             }
-            reg.insert((conn.id, req.id), (token.clone(), deadline));
+            reg.insert((conn.id, req.id), token.clone());
         }
 
         let id = req.id;
@@ -553,14 +524,10 @@ fn read_loop<'w, R: BufRead>(
             enqueued: Instant::now(),
         };
         match tx.try_send(job) {
-            Ok(()) => {
-                core.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                modref_obs::counter("serve.accepted").inc();
-            }
+            Ok(()) => core.count(Counted::Accepted),
             Err(TrySendError::Full(_)) => {
                 lock(&core.registry).remove(&(conn.id, id));
-                core.stats.overloaded.fetch_add(1, Ordering::Relaxed);
-                modref_obs::counter("serve.overloaded").inc();
+                core.count(Counted::Overloaded);
                 let e = ModrefError::Overloaded {
                     capacity: core.cfg.queue.max(1),
                 };
@@ -570,16 +537,6 @@ fn read_loop<'w, R: BufRead>(
                 lock(&core.registry).remove(&(conn.id, id));
                 break; // workers are gone; nothing more can be served
             }
-        }
-    }
-}
-
-/// Expires the token of every in-flight request whose deadline passed.
-fn reap_deadlines(registry: &Registry) {
-    let now = Instant::now();
-    for (token, deadline) in lock(registry).values() {
-        if deadline.is_some_and(|d| d <= now) {
-            token.expire();
         }
     }
 }
@@ -620,22 +577,14 @@ fn worker_loop<'w>(rx: &Mutex<mpsc::Receiver<Job<'w>>>, core: &Core<'_>) {
         lock(&core.registry).remove(&(job.conn.id, job.req.id));
         let resp = match result {
             Ok(body) => {
-                core.stats.completed.fetch_add(1, Ordering::Relaxed);
-                modref_obs::counter("serve.completed").inc();
+                core.count(Counted::Completed);
                 Response::ok(job.req.id, body)
             }
             Err(e) => {
-                core.stats.errors.fetch_add(1, Ordering::Relaxed);
-                modref_obs::counter("serve.errors").inc();
+                core.count(Counted::Errors);
                 match e {
-                    ModrefError::Cancelled => {
-                        core.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-                        modref_obs::counter("serve.cancelled").inc();
-                    }
-                    ModrefError::Timeout => {
-                        core.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                        modref_obs::counter("serve.timeout").inc();
-                    }
+                    ModrefError::Cancelled => core.count(Counted::Cancelled),
+                    ModrefError::Timeout => core.count(Counted::Timeouts),
                     _ => {}
                 }
                 Response::err(job.req.id, &e)
@@ -894,6 +843,16 @@ mod tests {
         }
     }
 
+    /// Runs `f` with the global trace recorder on — one traced test at a
+    /// time, so no other test's `init` or `shutdown` lands mid-run.
+    fn traced<T>(f: impl FnOnce() -> T) -> (T, modref_obs::Trace) {
+        static TRACE_LOCK: Mutex<()> = Mutex::new(());
+        let _held = lock(&TRACE_LOCK);
+        modref_obs::init(modref_obs::ClockMode::Wall);
+        let out = f();
+        (out, modref_obs::shutdown())
+    }
+
     #[test]
     fn mixed_session_answers_every_id() {
         let mut input = String::new();
@@ -975,6 +934,25 @@ mod tests {
     }
 
     #[test]
+    fn deadline_counts_queue_wait() {
+        // One worker busy with an explore: the parse queued behind it
+        // expires before it runs. Had it run, the unknown workload would
+        // answer `unknown_workload`.
+        let mut input = line(1, r#""op":"explore","workload":"medical","seeds":16"#);
+        input.push_str(&line(
+            2,
+            r#""op":"parse","workload":"nope","deadline_ms":1"#,
+        ));
+        let (stats, responses) = run(&input, &cfg().workers(1));
+        assert!(matches!(
+            body_of(&responses, 1),
+            ResponseBody::Explored { .. }
+        ));
+        assert_eq!(error_code(&responses, 2), "timeout");
+        assert_eq!(stats.timeouts, 1);
+    }
+
+    #[test]
     fn expired_deadline_is_a_timeout_error() {
         let input = line(
             9,
@@ -1016,7 +994,7 @@ mod tests {
             r#""op":"explore","workload":"medical","seeds":16"#,
         ));
         input.push_str(&line(5, r#""op":"parse","workload":"fig2""#));
-        let (stats, responses) = run(&input, &cfg().workers(1).queue(4));
+        let ((stats, responses), trace) = traced(|| run(&input, &cfg().workers(1).queue(4)));
         // Two responses for id 5: one invalid_request (the duplicate,
         // answered inline) and one for whichever request ran.
         let for_five: Vec<_> = responses.iter().filter(|r| r.id == 5).collect();
@@ -1025,6 +1003,7 @@ mod tests {
             |r| matches!(&r.body, ResponseBody::Error { code, .. } if code == "invalid_request")
         ));
         assert_eq!(stats.malformed, 1);
+        assert!(trace.counter("serve.malformed").unwrap_or(0) >= 1);
     }
 
     #[test]
@@ -1059,49 +1038,49 @@ mod tests {
     fn two_connections_share_one_spec_cache() {
         use std::io::{BufRead as _, Write as _};
         use std::net::TcpStream;
-        modref_obs::init(modref_obs::ClockMode::Wall);
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let server = thread::spawn(move || {
-            serve_listener(listener, &cfg().workers(2).max_connections(2)).expect("serve")
-        });
-        let spec = "spec shared;\nvar x : int<16> = 0;\n\
-                    behavior L leaf { x := x + 1; }\n\
-                    behavior T seq { children { L; } }\ntop T;\n";
-        let load = format!(
-            "{}\n",
-            Request::v2(
-                1,
-                RequestOp::LoadSpec {
-                    text: spec.to_string()
+        let ((), trace) = traced(|| {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let server = thread::spawn(move || {
+                serve_listener(listener, &cfg().workers(2).max_connections(2)).expect("serve")
+            });
+            let spec = "spec shared;\nvar x : int<16> = 0;\n\
+                        behavior L leaf { x := x + 1; }\n\
+                        behavior T seq { children { L; } }\ntop T;\n";
+            let load = format!(
+                "{}\n",
+                Request::v2(
+                    1,
+                    RequestOp::LoadSpec {
+                        text: spec.to_string()
+                    }
+                )
+                .to_json_line()
+            );
+            let mut hashes = Vec::new();
+            for _ in 0..2 {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                stream.write_all(load.as_bytes()).expect("send");
+                stream
+                    .shutdown(std::net::Shutdown::Write)
+                    .expect("half-close");
+                let mut reply = String::new();
+                BufReader::new(&stream)
+                    .read_line(&mut reply)
+                    .expect("read reply");
+                match Response::from_json(reply.trim()).expect("decodes").body {
+                    ResponseBody::Loaded { hash, .. } => hashes.push(hash),
+                    other => panic!("expected Loaded, got {other:?}"),
                 }
-            )
-            .to_json_line()
-        );
-        let mut hashes = Vec::new();
-        for _ in 0..2 {
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            stream.write_all(load.as_bytes()).expect("send");
-            stream
-                .shutdown(std::net::Shutdown::Write)
-                .expect("half-close");
-            let mut reply = String::new();
-            BufReader::new(&stream)
-                .read_line(&mut reply)
-                .expect("read reply");
-            match Response::from_json(reply.trim()).expect("decodes").body {
-                ResponseBody::Loaded { hash, .. } => hashes.push(hash),
-                other => panic!("expected Loaded, got {other:?}"),
             }
-        }
-        let stats = server.join().expect("join");
-        assert_eq!(stats.completed, 2);
-        assert_eq!(
-            hashes[0], hashes[1],
-            "content-addressed: same text, same hash"
-        );
-        assert_eq!(hashes[0], spec_hash(spec));
-        let trace = modref_obs::shutdown();
+            let stats = server.join().expect("join");
+            assert_eq!(stats.completed, 2);
+            assert_eq!(
+                hashes[0], hashes[1],
+                "content-addressed: same text, same hash"
+            );
+            assert_eq!(hashes[0], spec_hash(spec));
+        });
         assert!(
             trace.counter("serve.cache.hit").unwrap_or(0) >= 1,
             "second connection must hit the shared cache"
@@ -1278,11 +1257,9 @@ mod tests {
 
     #[test]
     fn serve_counters_round_trip_through_a_trace() {
-        modref_obs::init(modref_obs::ClockMode::Wall);
         let input = line(1, r#""op":"parse","workload":"fig2""#);
-        let (stats, _) = run(&input, &cfg().workers(1));
+        let ((stats, _), trace) = traced(|| run(&input, &cfg().workers(1)));
         assert_eq!(stats.completed, 1);
-        let trace = modref_obs::shutdown();
         assert!(trace.counter("serve.accepted").unwrap_or(0) >= 1);
         assert!(trace.counter("serve.completed").unwrap_or(0) >= 1);
         assert!(trace.counter("serve.cache.miss").unwrap_or(0) >= 1);
