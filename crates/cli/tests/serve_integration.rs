@@ -364,23 +364,52 @@ fn expired_deadline_is_a_timeout_response() {
     assert_eq!(error_code(&responses[0]), Some("timeout"));
 }
 
+/// The cancel is sent only once the explore has visibly started (its
+/// first progress frame is out), and the explore is far too large to
+/// finish first, so the outcome does not depend on machine speed. The
+/// deadline is a backstop: a cancel that goes missing fails the test as
+/// `timeout` instead of hanging it.
 #[test]
 fn cancel_kills_an_inflight_explore() {
     let mut child = spawn_serve(&["--workers", "1", "-q"]);
-    {
-        let stdin = child.stdin.as_mut().expect("stdin piped");
-        stdin
-            .write_all(br#"{"id":1,"op":"explore","workload":"medical","seeds":64}"#)
-            .and_then(|()| stdin.write_all(b"\n"))
-            .expect("explore written");
-        stdin.flush().expect("flushed");
-        // Give the worker a moment to pick the explore up, then cancel.
-        thread::sleep(std::time::Duration::from_millis(50));
-        stdin
-            .write_all(b"{\"id\":2,\"op\":\"cancel\",\"target\":1}\n")
-            .expect("cancel written");
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    stdin
+        .write_all(
+            br#"{"v":2,"id":1,"op":"explore","workload":"medical","seeds":100000,"stream":true,"deadline_ms":10000}
+"#,
+        )
+        .and_then(|()| stdin.flush())
+        .expect("explore written");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        let n = stdout.read_line(&mut line).expect("output read");
+        assert!(n > 0, "serve closed its output before any progress frame");
+        let started = ProgressFrame::is_progress_line(line.trim_end());
+        lines.push(line);
+        if started {
+            break;
+        }
     }
-    let responses = drain(child);
+    stdin
+        .write_all(b"{\"v\":2,\"id\":2,\"op\":\"cancel\",\"target\":1}\n")
+        .expect("cancel written");
+    drop(stdin);
+    let mut rest = String::new();
+    stdout
+        .read_to_string(&mut rest)
+        .expect("responses are UTF-8");
+    let status = child.wait().expect("server exits");
+    assert!(status.success(), "serve must drain and exit 0: {status}");
+    let responses: Vec<Response> = lines
+        .iter()
+        .map(String::as_str)
+        .chain(rest.lines())
+        .map(str::trim_end)
+        .filter(|l| !ProgressFrame::is_progress_line(l))
+        .map(|l| Response::from_json(l).unwrap_or_else(|e| panic!("bad response `{l}`: {e}")))
+        .collect();
     assert_eq!(responses.len(), 2, "explore error + cancel ack");
     let explore = responses.iter().find(|r| r.id == 1).expect("id 1 answered");
     assert_eq!(error_code(explore), Some("cancelled"));

@@ -131,9 +131,11 @@ impl CancelToken {
 ///
 /// Phases currently emitted: `explore.job` (one per partition-search
 /// job), `explore.candidates` (once, after ranking — `done == total ==`
-/// candidate count), `explore.rate` (one per candidate × model rate
-/// evaluation) and `verify.job` (one per candidate × model simulation
-/// pair).
+/// candidate count), `explore.rate` (one per candidate × model pair) and
+/// `verify.job` (one per verify record, i.e. front candidate × model).
+/// Candidates that reached the same partition share one evaluation, but
+/// each pair still gets its own frame, so `total` counts pairs and a
+/// finished shared evaluation emits one frame for every pair it answers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct Progress {

@@ -15,6 +15,12 @@
 //! full exploration is parallel end to end yet reproducible for a fixed
 //! seed count regardless of thread count.
 //!
+//! Multi-start search often reaches one partition from several
+//! `(algorithm, seed)` starts. Both fan-outs therefore run one job per
+//! *distinct* partition × model and copy its result to every candidate
+//! holding that partition: each candidate still gets its own design
+//! point and verify record, and only the repeated work goes.
+//!
 //! [`Codesign::verify`](crate::api::Codesign::verify) closes the loop
 //! from estimation to *verification*: every distinct Pareto-front
 //! candidate is refined under all four implementation models and the
@@ -27,7 +33,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use modref_graph::AccessGraph;
-use modref_partition::explore::{explore_with_observer, Candidate, ExploreConfig};
+use modref_partition::explore::{explore_with_observer, ExploreConfig};
 use modref_partition::{par_map, thread_count, Allocation, CostConfig, CostReport, Partition};
 use modref_sim::{SimConfig, SimKernel, Simulator};
 use modref_spec::span::SourceMap;
@@ -83,9 +89,13 @@ impl Exploration {
 /// the partial result ranks whatever finished — the facade then checks
 /// its token, discards the partial result and reports the stop reason.
 ///
+/// Each distinct partition is rated once per model; candidates that
+/// share it share the result (counted by `explore.rate_shared`).
+///
 /// `progress` receives `explore.job` per finished partition job,
 /// `explore.candidates` once the candidate set is fixed, and
-/// `explore.rate` per finished rate evaluation.
+/// `explore.rate` per candidate × model pair a finished rate
+/// evaluation answered.
 pub(crate) fn explore_designs_impl(
     spec: &Spec,
     graph: &AccessGraph,
@@ -122,13 +132,11 @@ pub(crate) fn explore_designs_impl(
     );
     let lifetime = cost_config.lifetime;
 
-    // Cross candidates with models; rate evaluation is independent per
-    // pair, so fan it out too.
-    let jobs: Vec<(usize, ImplModel)> = candidates
-        .iter()
-        .enumerate()
-        .flat_map(|(i, _)| ImplModel::ALL.iter().map(move |&m| (i, m)))
-        .collect();
+    // Cross distinct partitions with models: rate evaluation is
+    // independent per pair, so fan it out, and rate a partition that
+    // several candidates reached only once.
+    let parts: Vec<&Partition> = candidates.iter().map(|c| &c.partition).collect();
+    let distinct = Distinct::of(&parts);
     if let Some(p) = progress {
         let n = candidates.len() as u64;
         p.emit(&Progress {
@@ -137,44 +145,43 @@ pub(crate) fn explore_designs_impl(
             total: n,
         });
     }
-    let rate_total = jobs.len() as u64;
+    let rate_total = (candidates.len() * ImplModel::ALL.len()) as u64;
     let rate_done = AtomicU64::new(0);
+    let shared_counter = modref_obs::counter("explore.rate_shared");
     let threads = thread_count(expl.threads);
-    let rated = par_map(jobs, threads, |_, (ci, model)| {
+    let rated = par_map(distinct.jobs(), threads, |_, (d, model)| {
         if cancel.is_some_and(|t| t.stopped().is_some()) {
             return Ok(None);
         }
         let _job = modref_obs::span_under(span_id, "rate_eval").attr("model", model.name());
-        let cand: &Candidate = &candidates[ci];
-        let out = figure9_rates(spec, graph, allocation, &cand.partition, model, &lifetime)
-            .map(|table| Some((ci, model, table.max_rate(), table.bus_count())));
-        if let Some(p) = progress {
-            let done = rate_done.fetch_add(1, Ordering::Relaxed) + 1;
-            p.emit(&Progress {
-                phase: "explore.rate",
-                done,
-                total: rate_total,
+        let partition = parts[distinct.firsts[d]];
+        let out = figure9_rates(spec, graph, allocation, partition, model, &lifetime)
+            .map(|table| Some((table.max_rate(), table.bus_count())));
+        let pairs = distinct.sharers(d);
+        shared_counter.add(pairs - 1);
+        emit_pairs(progress, "explore.rate", &rate_done, rate_total, pairs);
+        out
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
+
+    let mut points = Vec::with_capacity(rate_total as usize);
+    for (ci, cand) in candidates.iter().enumerate() {
+        for (mi, &model) in ImplModel::ALL.iter().enumerate() {
+            let Some((max_bus_rate, bus_count)) = rated[distinct.job(ci, mi)] else {
+                continue;
+            };
+            points.push(DesignPoint {
+                algorithm: cand.algorithm,
+                seed: cand.seed,
+                model,
+                cost: cand.cost,
+                max_bus_rate,
+                bus_count,
+                pareto: false,
+                partition: cand.partition.clone(),
             });
         }
-        out
-    });
-
-    let mut points = Vec::with_capacity(rated.len());
-    for r in rated {
-        let Some((ci, model, max_bus_rate, bus_count)) = r? else {
-            continue;
-        };
-        let cand = &candidates[ci];
-        points.push(DesignPoint {
-            algorithm: cand.algorithm,
-            seed: cand.seed,
-            model,
-            cost: cand.cost,
-            max_bus_rate,
-            bus_count,
-            pareto: false,
-            partition: cand.partition.clone(),
-        });
     }
 
     rank(&mut points);
@@ -240,14 +247,22 @@ impl Verification {
 /// original vs. refined specifications for every distinct Pareto-front
 /// candidate × Model1–4, in parallel over the deterministic [`par_map`].
 ///
+/// One job refines, gates and simulates each distinct *partition* ×
+/// model; front candidates with the same partition get copies of its
+/// verdict under their own `algorithm`/`seed` (counted by
+/// `verify.shared`). The `verify.pass`, `verify.fail`,
+/// `verify.static_reject` and `verify.static_deadlock` counters still
+/// count records, not jobs.
+///
 /// Refinement or simulation failures are *reported* (as non-equivalent
 /// records with the error in `detail`), not propagated — a design-space
 /// sweep should show which corners break, not abort on the first one.
 /// Output is identical regardless of thread count. The token is checked
-/// before each candidate × model job; jobs that start after a stop
-/// return a non-equivalent record marked `"stopped"` (the facade then
-/// checks its token and reports the stop reason instead). `progress`
-/// receives `verify.job` per finished candidate × model job.
+/// before each job; a job that starts after a stop marks all of its
+/// records non-equivalent and `"stopped before simulation"` (the facade
+/// then checks its token and reports the stop reason instead).
+/// `progress` receives one `verify.job` frame per record, as the job
+/// answering it finishes.
 ///
 /// With `check_traces` set, both simulations record full event traces
 /// and each refined run must additionally pass the
@@ -273,6 +288,7 @@ pub(crate) fn verify_pareto_impl(
     let fail_counter = modref_obs::counter("verify.fail");
     let reject_counter = modref_obs::counter("verify.static_reject");
     let deadlock_counter = modref_obs::counter("verify.static_deadlock");
+    let shared_counter = modref_obs::counter("verify.shared");
     let sim_config = SimConfig {
         kernel,
         trace: check_traces,
@@ -297,26 +313,18 @@ pub(crate) fn verify_pareto_impl(
         }
     }
 
-    let jobs: Vec<(usize, ImplModel)> = (0..cands.len())
-        .flat_map(|ci| ImplModel::ALL.iter().map(move |&m| (ci, m)))
-        .collect();
-    let job_total = jobs.len() as u64;
+    let parts: Vec<&Partition> = cands.iter().map(|&(_, _, p)| p).collect();
+    let distinct = Distinct::of(&parts);
+    let record_total = (cands.len() * ImplModel::ALL.len()) as u64;
     let job_done = AtomicU64::new(0);
     let workers = thread_count(threads);
-    let records = par_map(jobs, workers, |_, (ci, model)| {
-        let (algorithm, seed, partition) = cands[ci];
-        let emit_done = || {
-            if let Some(p) = progress {
-                let done = job_done.fetch_add(1, Ordering::Relaxed) + 1;
-                p.emit(&Progress {
-                    phase: "verify.job",
-                    done,
-                    total: job_total,
-                });
-            }
-        };
+    let verdicts = par_map(distinct.jobs(), workers, |_, (d, model)| {
+        let (algorithm, seed, partition) = cands[distinct.firsts[d]];
+        // Every count below is per record, so a shared job counts once
+        // for each front candidate it answers.
+        let pairs = distinct.sharers(d);
         if cancel.is_some_and(|t| t.stopped().is_some()) {
-            emit_done();
+            emit_pairs(progress, "verify.job", &job_done, record_total, pairs);
             return VerifyRecord {
                 algorithm,
                 seed,
@@ -358,9 +366,9 @@ pub(crate) fn verify_pareto_impl(
             // the whole step limit before failing).
             let diags = crate::lint::lint_refined_impl(spec, graph, &refined);
             if let Some(codes) = crate::lint::static_reject(&diags) {
-                reject_counter.inc();
+                reject_counter.add(pairs);
                 if codes.split(", ").any(|c| c.starts_with("DL")) {
-                    deadlock_counter.inc();
+                    deadlock_counter.add(pairs);
                 }
                 record.detail = format!("static analysis rejected: {codes}");
                 return record;
@@ -409,18 +417,97 @@ pub(crate) fn verify_pareto_impl(
             record
         })();
         if record.equivalent {
-            pass_counter.inc();
+            pass_counter.add(pairs);
         } else {
-            fail_counter.inc();
+            fail_counter.add(pairs);
         }
-        emit_done();
+        shared_counter.add(pairs - 1);
+        emit_pairs(progress, "verify.job", &job_done, record_total, pairs);
         record
     });
+
+    // One record per front candidate × model, in front rank order, each
+    // carrying its own candidate's labels.
+    let mut records = Vec::with_capacity(record_total as usize);
+    for (ci, &(algorithm, seed, _)) in cands.iter().enumerate() {
+        for mi in 0..ImplModel::ALL.len() {
+            records.push(VerifyRecord {
+                algorithm,
+                seed,
+                ..verdicts[distinct.job(ci, mi)].clone()
+            });
+        }
+    }
 
     Verification {
         records,
         original_time,
         original_steps,
+    }
+}
+
+/// Candidates grouped by partition identity ([`Partition`]'s
+/// `PartialEq`: the assignments plus the default component), so each
+/// distinct partition is evaluated once per model and the result is
+/// copied to every candidate that reached it.
+struct Distinct {
+    /// Index of the first candidate holding each distinct partition, in
+    /// first-seen order.
+    firsts: Vec<usize>,
+    /// Each candidate's index into `firsts`.
+    slots: Vec<usize>,
+}
+
+impl Distinct {
+    /// A linear scan: explorations hold tens to hundreds of candidates.
+    fn of(parts: &[&Partition]) -> Self {
+        let mut firsts: Vec<usize> = Vec::new();
+        let mut slots = Vec::with_capacity(parts.len());
+        for (i, part) in parts.iter().enumerate() {
+            match firsts.iter().position(|&f| parts[f] == *part) {
+                Some(d) => slots.push(d),
+                None => {
+                    slots.push(firsts.len());
+                    firsts.push(i);
+                }
+            }
+        }
+        Self { firsts, slots }
+    }
+
+    /// One job per distinct partition × model, partition-major.
+    fn jobs(&self) -> Vec<(usize, ImplModel)> {
+        (0..self.firsts.len())
+            .flat_map(|d| ImplModel::ALL.iter().map(move |&m| (d, m)))
+            .collect()
+    }
+
+    /// The index of the job answering candidate `ci` under the `mi`-th
+    /// model of [`ImplModel::ALL`].
+    fn job(&self, ci: usize, mi: usize) -> usize {
+        self.slots[ci] * ImplModel::ALL.len() + mi
+    }
+
+    /// How many candidates hold distinct partition `d`.
+    fn sharers(&self, d: usize) -> u64 {
+        self.slots.iter().filter(|&&s| s == d).count() as u64
+    }
+}
+
+/// Emits one `phase` frame for each of the `pairs` candidate × model
+/// pairs a finished job answered.
+fn emit_pairs(
+    progress: Option<&ProgressFn>,
+    phase: &'static str,
+    done: &AtomicU64,
+    total: u64,
+    pairs: u64,
+) {
+    if let Some(p) = progress {
+        for _ in 0..pairs {
+            let done = done.fetch_add(1, Ordering::Relaxed) + 1;
+            p.emit(&Progress { phase, done, total });
+        }
     }
 }
 
@@ -566,6 +653,21 @@ mod tests {
         // Refinement introduces bus-protocol signal traffic.
         assert!(v.records.iter().all(|r| r.bus_traffic > 0));
         assert!(v.original_steps > 0);
+    }
+
+    #[test]
+    fn distinct_groups_equal_partitions_in_first_seen_order() {
+        use modref_partition::ComponentId;
+        let a = Partition::with_default(ComponentId::from_raw(0));
+        let b = Partition::with_default(ComponentId::from_raw(1));
+        let c = Partition::new();
+        let d = Distinct::of(&[&a, &b, &a.clone(), &c, &b]);
+        assert_eq!(d.firsts, [0, 1, 3]);
+        assert_eq!(d.slots, [0, 1, 0, 2, 1]);
+        assert_eq!((d.sharers(0), d.sharers(1), d.sharers(2)), (2, 2, 1));
+        // Candidate 2 under the second model is answered by job 0 × model 1.
+        assert_eq!(d.job(2, 1), 1);
+        assert_eq!(d.jobs().len(), 3 * ImplModel::ALL.len());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Observability integration: a traced exploration of the medical system
 //! emits well-formed JSONL with non-trivial cache-hit counters, and —
 //! the determinism guard — aggregated metrics are identical whether the
-//! exploration ran on one thread or many.
+//! exploration ran on one thread or many. The explore/verify sharing
+//! counters are exact too.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use modref::core::api::{Codesign, ExploreOpts};
+use modref::core::api::{Codesign, ExploreOpts, VerifyOpts};
 use modref::obs::{self, ClockMode, Event};
 use modref::workloads::medical_spec;
 
@@ -119,4 +120,33 @@ fn aggregated_metrics_identical_across_thread_counts() {
         single, multi,
         "aggregated metrics must not depend on thread count"
     );
+}
+
+/// Explore and verify evaluate each distinct partition once: on medical
+/// with 8 seeds, 19 candidates hold 16 distinct partitions and 9 front
+/// candidates hold 6, so 3 × 4 rate pairs and 3 × 4 verify records are
+/// answered by another candidate's evaluation, at any thread count.
+#[test]
+fn sharing_counters_are_exact() {
+    let _l = hold();
+    let cd = Codesign::from_spec(medical_spec());
+    for threads in [1, 2] {
+        obs::init(ClockMode::Logical);
+        let out = cd
+            .explore(&ExploreOpts::new().with_seeds(8).with_threads(threads))
+            .expect("exploration succeeds");
+        cd.verify(&out, &VerifyOpts::new().with_threads(threads))
+            .expect("verification runs");
+        let trace = obs::shutdown();
+        assert_eq!(
+            counter_value(&trace, "explore.rate_shared"),
+            12,
+            "{threads} thread(s)"
+        );
+        assert_eq!(
+            counter_value(&trace, "verify.shared"),
+            12,
+            "{threads} thread(s)"
+        );
+    }
 }
