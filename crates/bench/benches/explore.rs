@@ -10,6 +10,12 @@
 //! threads — and records everything in `BENCH_explore.json` at the repo
 //! root, including the full/incremental speedup the acceptance criteria
 //! gate on.
+//!
+//! A second table, `clustering_scaling`, times one
+//! `HierarchicalClustering::partition_with_table` call on generated specs
+//! of 64, 250 and 1000 leaves and reports the deterministic
+//! `clustering.pair_evals` count beside it, so the incremental merge
+//! loop's O(n²) growth is measured rather than assumed.
 
 use std::time::Instant;
 
@@ -17,7 +23,9 @@ use modref_bench::harness::Criterion;
 use modref_bench::record::{self, fixed, obj, text, uint, Value};
 use modref_bench::{criterion_group, criterion_main};
 
+use modref_estimate::LifetimeTable;
 use modref_graph::AccessGraph;
+use modref_partition::algorithms::{HierarchicalClustering, Partitioner};
 use modref_partition::explore::{explore, ExploreConfig};
 use modref_partition::{partition_cost, Allocation, CostCache, CostConfig, Partition};
 use modref_spec::Spec;
@@ -186,6 +194,79 @@ impl Record {
     }
 }
 
+/// One clustering scaling point: a generated spec of `leaves` leaves.
+struct ClusteringRow {
+    synth_leaves: usize,
+    leaves: usize,
+    components: usize,
+    vars: usize,
+    behaviors: usize,
+    secs: f64,
+    pair_evals: u64,
+}
+
+/// Times one clustering partition of a `leaves`-leaf `SynthSpec` (64
+/// variables, the `synth64_traces` shape otherwise), best of `reps`
+/// untraced calls, then counts its pair scores in one traced call.
+fn clustering_row(leaves: usize, alloc: &Allocation, reps: usize) -> ClusteringRow {
+    let vars = 64;
+    let synth = SynthSpec::generate(
+        11,
+        &SynthConfig {
+            leaves,
+            vars,
+            stmts_per_leaf: 6,
+            fanout: 3,
+            loop_percent: 30,
+        },
+    );
+    let graph = synth.graph();
+    let config = CostConfig::default();
+    let run = || {
+        let mut table = LifetimeTable::new(config.lifetime);
+        let start = Instant::now();
+        let part = HierarchicalClustering::new().partition_with_table(
+            &synth.spec,
+            &graph,
+            alloc,
+            &config,
+            &mut table,
+        );
+        let secs = start.elapsed().as_secs_f64();
+        assert!(part.is_complete(&synth.spec, alloc));
+        secs
+    };
+    let secs = (0..reps).map(|_| run()).fold(f64::INFINITY, f64::min);
+    modref_obs::init(modref_obs::ClockMode::Logical);
+    run();
+    let pair_evals = modref_obs::shutdown()
+        .counter("clustering.pair_evals")
+        .expect("clustering counts its pair scores");
+    ClusteringRow {
+        synth_leaves: leaves,
+        leaves: synth.spec.leaves().len(),
+        components: alloc.len(),
+        vars,
+        behaviors: synth.spec.behavior_count(),
+        secs,
+        pair_evals,
+    }
+}
+
+impl ClusteringRow {
+    fn to_json(&self) -> Value {
+        obj([
+            ("synth_leaves", uint(self.synth_leaves)),
+            ("leaves", uint(self.leaves)),
+            ("components", uint(self.components)),
+            ("vars", uint(self.vars)),
+            ("behaviors", uint(self.behaviors)),
+            ("partition_secs", fixed(self.secs, 4)),
+            ("pair_evals", uint(self.pair_evals)),
+        ])
+    }
+}
+
 fn bench_explore(c: &mut Criterion) {
     let spec = medical_spec();
     let graph = AccessGraph::derive(&spec);
@@ -242,12 +323,27 @@ fn bench_explore(c: &mut Criterion) {
         );
     }
 
+    let scaling: Vec<ClusteringRow> = [(64, 5), (250, 3), (1000, 1)]
+        .into_iter()
+        .map(|(leaves, reps)| clustering_row(leaves, &alloc, reps))
+        .collect();
+    for r in &scaling {
+        eprintln!(
+            "clustering {:>4} leaves: {:.4}s per partition, {} pair evals",
+            r.leaves, r.secs, r.pair_evals
+        );
+    }
+
     let workloads = records.iter().map(Record::to_json).collect();
     record::write(
         "explore",
         &obj([
             ("bench", text("explore")),
             ("workloads", Value::Arr(workloads)),
+            (
+                "clustering_scaling",
+                Value::Arr(scaling.iter().map(ClusteringRow::to_json).collect()),
+            ),
         ]),
     );
 }

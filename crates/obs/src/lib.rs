@@ -10,7 +10,7 @@
 //!   are merged at flush. Span and event ids come from a per-run
 //!   sequence counter (never wall clock or randomness), so ids are
 //!   reproducible run to run.
-//! * **Metrics** ([`counter`], [`gauge`], [`histogram`], [`Meter`]) —
+//! * **Metrics** ([`counter`], [`gauge`], [`histogram`], [`Meter`], [`Tally`]) —
 //!   named counters, gauges and fixed-bucket histograms with
 //!   p50/p90/p99 summaries, aggregated in a global registry. Counter
 //!   addition commutes, so aggregated metric values are identical
@@ -70,7 +70,8 @@ pub mod span;
 
 pub use event::{Event, Trace};
 pub use metrics::{
-    counter, gauge, histogram, Counter, Gauge, Histogram, HistogramSnapshot, Meter, MetricsSnapshot,
+    counter, gauge, histogram, Counter, Gauge, Histogram, HistogramSnapshot, Meter,
+    MetricsSnapshot, Tally,
 };
 pub use span::{span, span_under, Span};
 

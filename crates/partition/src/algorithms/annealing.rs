@@ -63,9 +63,10 @@ impl Partitioner for SimulatedAnnealing {
         config: &CostConfig,
         table: &mut LifetimeTable,
     ) -> Partition {
-        let moves = modref_obs::counter("anneal.moves");
-        let accepts = modref_obs::counter("anneal.accepts");
-        let rejects = modref_obs::counter("anneal.rejects");
+        let tally = |name| modref_obs::Tally::new(modref_obs::counter(name));
+        let mut moves = tally("anneal.moves");
+        let mut accepts = tally("anneal.accepts");
+        let mut rejects = tally("anneal.rejects");
         let mut rng = Rng::seed_from_u64(self.seed);
         let ids = allocation.ids();
         let part = RandomPartitioner::new(self.seed).partition(spec, graph, allocation, config);

@@ -7,6 +7,24 @@
 //! merges, repeatedly, until the requested number of clusters remains.
 //! Clusters are then assigned to components largest-first onto the least
 //! loaded component, and variables homed with their heaviest cluster.
+//!
+//! ## Complexity
+//!
+//! The merge loop is incremental. A leaf × variable traffic table is
+//! built once; each cluster keeps one per-variable traffic row, and the
+//! pair scores live in an n × n table. A merge folds the absorbed
+//! cluster's leaf rows into the survivor's row, in member order, and
+//! rescores only the survivor against the k − 2 other clusters: O(k·V)
+//! per merge, O(n²·V) in all for n leaves and V variables. Picking each
+//! merge scans the k(k−1)/2 cached scores, O(n³) comparisons in all;
+//! that scan is most of the time from a few hundred leaves up. Exactly
+//! n(n−1)/2 + Σ_{k=t+1..n}(k−2) pair scores are computed for a target of
+//! t clusters; the `clustering.pair_evals` counter reports that number.
+//!
+//! The merge sequence is the one a from-scratch scan gives: each side's
+//! traffic is its members' traffic summed in member order (so float sums
+//! match bit for bit), and the first pair in cluster order with the
+//! strictly highest closeness merges.
 
 use std::collections::HashMap;
 
@@ -35,40 +53,69 @@ impl HierarchicalClustering {
     /// Computes the merge sequence down to `target` clusters and returns
     /// the final clusters of behavior ids (exposed for inspection and
     /// tests).
+    ///
+    /// The closeness of two clusters is the bits they exchange through
+    /// shared variables: the sum over variables of the smaller side's
+    /// traffic (the transferable portion). Each side is its members'
+    /// traffic summed in member order. The first pair (in cluster order)
+    /// with the strictly highest closeness merges; the later cluster is
+    /// removed and its members appended to the earlier one.
     pub fn clusters(
         &self,
         spec: &Spec,
         graph: &AccessGraph,
         target: usize,
     ) -> Vec<Vec<BehaviorId>> {
-        let mut clusters: Vec<Vec<BehaviorId>> =
-            spec.leaves().into_iter().map(|l| vec![l]).collect();
-        if clusters.is_empty() {
-            return clusters;
+        let leaves = spec.leaves();
+        let n = leaves.len();
+        if n == 0 {
+            return Vec::new();
         }
+        let vars: Vec<VarId> = spec.variables().map(|(v, _)| v).collect();
+        let nv = vars.len();
 
-        // Pairwise traffic between leaves: bits they exchange through
-        // shared variables (sum over variables of min of the two sides'
-        // traffic — the transferable portion).
-        let traffic = |a: &[BehaviorId], b: &[BehaviorId]| -> f64 {
+        // `leaf_rows[l * nv + v]`: leaf `l`'s traffic on variable `v`.
+        // `rows` holds one such row per cluster, indexed by the stable
+        // slot of the cluster's first leaf.
+        let leaf_rows: Vec<f64> = leaves
+            .iter()
+            .flat_map(|&l| vars.iter().map(move |&v| graph.traffic(l, v)))
+            .collect();
+        let mut rows = leaf_rows.clone();
+        let row = |s: usize| s * nv..(s + 1) * nv;
+
+        let mut pair_evals = modref_obs::Tally::new(modref_obs::counter("clustering.pair_evals"));
+        let mut closeness = |rows: &[f64], a: usize, b: usize| -> f64 {
+            pair_evals.inc();
             let mut sum = 0.0;
-            for (v, _) in spec.variables() {
-                let side = |cluster: &[BehaviorId]| -> f64 {
-                    cluster.iter().map(|&l| graph.traffic(l, v)).sum()
-                };
-                let ta = side(a);
-                let tb = side(b);
+            for (&ta, &tb) in rows[row(a)].iter().zip(&rows[row(b)]) {
                 sum += ta.min(tb);
             }
             sum
         };
 
-        let merges = modref_obs::counter("clustering.merges");
+        // `score[a * n + b]`: closeness of the clusters in slots a and b.
+        let mut score = vec![0.0; n * n];
+        for a in 0..n {
+            for b in (a + 1)..n {
+                let t = closeness(&rows, a, b);
+                score[a * n + b] = t;
+                score[b * n + a] = t;
+            }
+        }
+
+        // Clusters as leaf slots. A cluster's row and scores live at its
+        // first slot, its head; `heads` mirrors the cluster order so the
+        // best-pair scan reads one contiguous slice.
+        let mut clusters: Vec<Vec<usize>> = (0..n).map(|l| vec![l]).collect();
+        let mut heads: Vec<usize> = (0..n).collect();
+        let mut merges = modref_obs::Tally::new(modref_obs::counter("clustering.merges"));
         while clusters.len() > target.max(1) {
             let mut best: Option<(usize, usize, f64)> = None;
-            for i in 0..clusters.len() {
-                for j in (i + 1)..clusters.len() {
-                    let t = traffic(&clusters[i], &clusters[j]);
+            for (i, &a) in heads.iter().enumerate() {
+                let scores = &score[a * n..(a + 1) * n];
+                for (j, &b) in heads.iter().enumerate().skip(i + 1) {
+                    let t = scores[b];
                     if best.is_none_or(|(_, _, bt)| t > bt) {
                         best = Some((i, j, t));
                     }
@@ -76,10 +123,29 @@ impl HierarchicalClustering {
             }
             let (i, j, _) = best.expect("at least two clusters");
             let merged = clusters.remove(j);
+            heads.remove(j);
+            let s = heads[i];
+            // Fold leaf by leaf, in member order: the same float sum as
+            // re-adding every member's traffic from scratch.
+            for &l in &merged {
+                for (d, &t) in rows[row(s)].iter_mut().zip(&leaf_rows[row(l)]) {
+                    *d += t;
+                }
+            }
             clusters[i].extend(merged);
+            for &o in &heads {
+                if o != s {
+                    let t = closeness(&rows, s, o);
+                    score[s * n + o] = t;
+                    score[o * n + s] = t;
+                }
+            }
             merges.inc();
         }
         clusters
+            .into_iter()
+            .map(|c| c.into_iter().map(|l| leaves[l]).collect())
+            .collect()
     }
 }
 

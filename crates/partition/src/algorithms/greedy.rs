@@ -49,7 +49,7 @@ impl Partitioner for GreedyPartitioner {
         config: &CostConfig,
         table: &mut LifetimeTable,
     ) -> Partition {
-        let placements = modref_obs::counter("greedy.placements");
+        let mut placements = modref_obs::Tally::new(modref_obs::counter("greedy.placements"));
         let ids = allocation.ids();
         assert!(
             !ids.is_empty(),

@@ -86,16 +86,16 @@ impl GroupMigration {
     /// the best cost-reducing single-object move. Returns the final cost,
     /// leaving the improved state in the cache.
     pub fn improve_cached(&self, cache: &mut CostCache) -> f64 {
-        let sweeps = modref_obs::counter("migration.sweeps");
-        let evals = modref_obs::counter("migration.evals");
-        let applied = modref_obs::counter("migration.applied");
+        let tally = |name| modref_obs::Tally::new(modref_obs::counter(name));
+        let mut sweeps = tally("migration.sweeps");
+        let mut evals = tally("migration.evals");
+        let mut applied = tally("migration.applied");
         let leaves: Vec<_> = cache.leaves().to_vec();
         let vars: Vec<_> = cache.vars().to_vec();
         let comps = cache.component_ids();
         let mut current = cache.total();
         for _ in 0..self.max_passes {
             sweeps.inc();
-            let mut sweep_evals = 0u64;
             let mut best: Option<(Move, f64)> = None;
             for &leaf in &leaves {
                 let original = cache.component_of_leaf(leaf);
@@ -104,7 +104,7 @@ impl GroupMigration {
                         continue;
                     }
                     let cost = cache.move_leaf(leaf, c);
-                    sweep_evals += 1;
+                    evals.inc();
                     if cost < best.map_or(current, |(_, c)| c) {
                         best = Some((Move::Behavior(leaf, c), cost));
                     }
@@ -118,14 +118,13 @@ impl GroupMigration {
                         continue;
                     }
                     let cost = cache.move_var(v, c);
-                    sweep_evals += 1;
+                    evals.inc();
                     if cost < best.map_or(current, |(_, c)| c) {
                         best = Some((Move::Var(v, c), cost));
                     }
                 }
                 cache.move_var(v, original);
             }
-            evals.add(sweep_evals);
             match best {
                 Some((mv, cost)) if cost < current => {
                     match mv {

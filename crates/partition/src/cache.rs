@@ -43,8 +43,8 @@ use crate::component::{Allocation, ComponentId, ComponentKind};
 use crate::cost::{behavior_code_bytes, behavior_gates, CostConfig, CostReport};
 
 /// The `cache.builds` / `cache.move_evals` counter handles, interned
-/// once — `move_leaf`/`move_var` are the explorer's innermost loop, so
-/// the handle lookup must not take the registry lock per call.
+/// once — caches are built per job, so the handle lookup must not take
+/// the registry lock per build.
 fn cache_counters() -> (modref_obs::Counter, modref_obs::Counter) {
     static CELLS: std::sync::OnceLock<(modref_obs::Counter, modref_obs::Counter)> =
         std::sync::OnceLock::new();
@@ -133,6 +133,10 @@ pub struct CostCache {
 
     /// Current cost breakdown, kept in sync by every move.
     report: CostReport,
+    /// `cache.move_evals`, counted locally: `move_leaf`/`move_var` are
+    /// the explorer's innermost loop, so they must not bump a shared
+    /// atomic per call. Flushed when the cache drops.
+    move_evals: modref_obs::Tally,
 }
 
 impl CostCache {
@@ -286,6 +290,7 @@ impl CostCache {
                 violation: 0.0,
                 total: 0.0,
             },
+            move_evals: modref_obs::Tally::new(cache_counters().1),
         };
         for ci in 0..cache.chans.len() {
             cache.cut[ci] = cache.is_cut(ci);
@@ -364,7 +369,7 @@ impl CostCache {
     ///
     /// Panics if `behavior` is not a leaf of the spec.
     pub fn move_leaf(&mut self, behavior: BehaviorId, to: ComponentId) -> f64 {
-        cache_counters().1.inc();
+        self.move_evals.inc();
         let li = self.leaf_index[&behavior];
         let from = self.leaf_comp[li];
         if from == to {
@@ -391,7 +396,7 @@ impl CostCache {
     ///
     /// Panics if `var` is not a variable of the spec.
     pub fn move_var(&mut self, var: VarId, to: ComponentId) -> f64 {
-        cache_counters().1.inc();
+        self.move_evals.inc();
         let vi = self.var_index[&var];
         if self.var_comp[vi] == to {
             return self.report.total;

@@ -2,13 +2,16 @@
 //! emits well-formed JSONL with non-trivial cache-hit counters, and —
 //! the determinism guard — aggregated metrics are identical whether the
 //! exploration ran on one thread or many. The explore/verify sharing
-//! counters are exact too.
+//! counters are exact too, and so is the clustering work counter, which
+//! pins the incremental merge loop's O(n²) pair-score bound.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use modref::core::api::{Codesign, ExploreOpts, VerifyOpts};
+use modref::graph::AccessGraph;
 use modref::obs::{self, ClockMode, Event};
-use modref::workloads::medical_spec;
+use modref::partition::algorithms::HierarchicalClustering;
+use modref::workloads::{fig2_spec, medical_spec, SynthConfig, SynthSpec};
 
 /// The recorder is process-global; tests that flip it must not overlap.
 static RECORDER: Mutex<()> = Mutex::new(());
@@ -149,4 +152,50 @@ fn sharing_counters_are_exact() {
             "{threads} thread(s)"
         );
     }
+}
+
+/// Pair scores the incremental clustering computes for `n` leaves down
+/// to `target` clusters: every pair once, then the survivor of each merge
+/// against the k − 2 other clusters left after merging k.
+fn expected_pair_evals(n: u64, target: u64) -> u64 {
+    let t = target.max(1);
+    n * (n - 1) / 2 + (t + 1..=n).map(|k| k - 2).sum::<u64>()
+}
+
+/// `clustering.pair_evals` is deterministic, so it gates the O(n²) bound
+/// exactly instead of a wall time: n(n−1)/2 + Σ_{k=t+1..n}(k−2).
+#[test]
+fn clustering_pair_evals_are_exact() {
+    let _l = hold();
+    let synth = SynthSpec::generate(
+        11,
+        &SynthConfig {
+            leaves: 64,
+            vars: 64,
+            stmts_per_leaf: 6,
+            fanout: 3,
+            loop_percent: 30,
+        },
+    );
+    for (label, spec) in [
+        ("medical", medical_spec()),
+        ("fig2", fig2_spec()),
+        ("synth64", synth.spec),
+    ] {
+        let graph = AccessGraph::derive(&spec);
+        let n = spec.leaves().len() as u64;
+        for target in 1..=4 {
+            obs::init(ClockMode::Logical);
+            let clusters = HierarchicalClustering::new().clusters(&spec, &graph, target as usize);
+            let trace = obs::shutdown();
+            assert_eq!(clusters.len() as u64, target.min(n), "{label}");
+            assert_eq!(
+                counter_value(&trace, "clustering.pair_evals"),
+                expected_pair_evals(n, target),
+                "{label}, target {target}"
+            );
+        }
+    }
+    // n = 64, t = 2: 2016 initial scores + 1953 rescores.
+    assert_eq!(expected_pair_evals(64, 2), 3969);
 }
