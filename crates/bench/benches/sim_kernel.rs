@@ -11,7 +11,9 @@
 //! the token-ring workload (16–128 concurrent stations blocked on
 //! distinct signals — the polling worst case), and on the medical
 //! workload refined to Model4 (the realistic signal-handshake-heavy
-//! case), then records ns/step for each kernel, the speedups, the
+//! case) and on a 64-leaf synthetic spec refined to Model1 (the
+//! bus-heavy case: memory-server address decodes and a wide arbiter
+//! make it branch-bound), then records ns/step for each kernel, the speedups, the
 //! condition re-evaluations the event kernel avoided, and the compiled
 //! kernel's instruction/dispatch counts, in `BENCH_sim.json` at the
 //! repo root. All kernels' results are asserted equal, so the numbers
@@ -25,9 +27,12 @@ use modref_bench::{criterion_group, criterion_main};
 
 use modref_core::{refine, ImplModel};
 use modref_graph::AccessGraph;
+use modref_partition::Allocation;
 use modref_sim::{SimConfig, SimKernel, SimResult, Simulator};
 use modref_spec::Spec;
-use modref_workloads::{medical_allocation, medical_partition, medical_spec, ring_spec, Design};
+use modref_workloads::{
+    medical_allocation, medical_partition, medical_spec, ring_spec, Design, SynthConfig, SynthSpec,
+};
 
 /// One workload's three-kernel measurement.
 struct Record {
@@ -157,12 +162,41 @@ fn medical_model4() -> Spec {
         .spec
 }
 
+/// The seed-11 64-leaf synthetic spec (the perfbench `synth64_traces`
+/// shape) on the alternating two-way partition, refined to Model1: every
+/// global variable sits behind a memory server that decodes the bus
+/// address one `if` per variable, and one arbiter grants every master.
+fn synth64_model1() -> Spec {
+    let synth = SynthSpec::generate(
+        11,
+        &SynthConfig {
+            leaves: 64,
+            vars: 64,
+            stmts_per_leaf: 6,
+            fanout: 3,
+            loop_percent: 30,
+        },
+    );
+    let alloc = Allocation::proc_plus_asic();
+    let part = synth.partition(&alloc, 0);
+    refine(
+        &synth.spec,
+        &synth.graph(),
+        &alloc,
+        &part,
+        ImplModel::Model1,
+    )
+    .expect("synth64 refines")
+    .spec
+}
+
 fn bench_sim_kernel(c: &mut Criterion) {
     let ring16 = ring_spec(16, 192);
     let ring32 = ring_spec(32, 128);
     let ring64 = ring_spec(64, 96);
     let ring128 = ring_spec(128, 64);
     let medical4 = medical_model4();
+    let synth64 = synth64_model1();
 
     // The harness-timed view (respects MODREF_BENCH_MS) — the CI smoke
     // step runs exactly this with a tiny budget.
@@ -181,6 +215,7 @@ fn bench_sim_kernel(c: &mut Criterion) {
         measure("ring64", &ring64, 7),
         measure("ring128", &ring128, 7),
         measure("medical_model4", &medical4, 7),
+        measure("synth64_model1", &synth64, 5),
     ];
     for r in &records {
         eprintln!(

@@ -37,7 +37,7 @@ pub(crate) fn emit(lowered: Lowered) -> CompiledSpec {
 
     for instr in &mut code {
         match instr {
-            Instr::Jump(to) | Instr::JumpIfZero { to, .. } => *to = resolve(*to),
+            Instr::Jump { to, .. } | Instr::JumpIfZero { to, .. } => *to = resolve(*to),
             _ => {}
         }
     }
@@ -59,6 +59,7 @@ pub(crate) fn emit(lowered: Lowered) -> CompiledSpec {
         pool,
         names,
         waits,
+        preds: Vec::new(),
         fors,
         calls,
         trans,

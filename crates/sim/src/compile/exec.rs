@@ -5,13 +5,17 @@
 //! runs flat instructions until it blocks. Dispatch is a single `match`
 //! per instruction — one indirect branch, no tree recursion, no frame
 //! allocation; expression operands are pre-resolved slot indices
-//! evaluated postfix over one shared scratch stack. Scheduling — rounds,
+//! evaluated postfix over one shared scratch stack. Branches and waits
+//! on leaf predicates (see `super::fuse`) skip the stack: a `Test` reads
+//! one slot against a range, a run of false tests is walked in one
+//! inner loop, and every threaded step is charged to the step count and
+//! checked against the budget as it is added. Scheduling — rounds,
 //! waiter lists, timers, child bookkeeping — is the shared scheduler's
 //! (`crate::sched`), the same one the interpreter backend runs under.
 
 use modref_spec::{BehaviorId, Spec, VarId};
 
-use super::{CompiledSpec, EOp, ExprRef, FrameArg, Instr, OutTarget, Pc};
+use super::{CompiledSpec, EOp, ExprRef, FrameArg, Instr, Leaf, OutTarget, Pc, Pred};
 use crate::error::SimError;
 use crate::process::SharedState;
 use crate::sched::{wake_time, Backend, WaitSlots, Yield};
@@ -174,6 +178,52 @@ fn unbound(prog: &CompiledSpec, name: u32) -> SimError {
     SimError::UnboundParam(prog.names[name as usize].clone())
 }
 
+/// Whether a leaf predicate holds. Reads cannot fail: a variable slot
+/// holding an array reads 0, as in [`leaf`].
+#[inline(always)]
+fn test(p: &Pred, state: &SharedState) -> bool {
+    let v = match p.leaf {
+        Leaf::Sig(slot) => state.signals[slot as usize],
+        Leaf::Var(slot) => match &state.vars[slot as usize] {
+            Storage::Scalar(x) => *x,
+            Storage::Array(_) => 0,
+        },
+    };
+    p.lo <= v && v <= p.hi
+}
+
+/// Whether the condition of wait `site` holds: over its leaf
+/// predicates when the fuse pass found them, else by evaluation.
+fn wait_holds(
+    prog: &CompiledSpec,
+    spec: &Spec,
+    proc: &CProc,
+    state: &SharedState,
+    stack: &mut Vec<i64>,
+    site: u32,
+) -> Result<bool, SimError> {
+    let w = &prog.waits[site as usize];
+    match w.any {
+        Some(r) => {
+            let preds = &prog.preds[r.off as usize..(r.off + r.len) as usize];
+            Ok(preds.iter().any(|p| test(p, state)))
+        }
+        None => Ok(eval(prog, spec, &proc.calls, &proc.params, state, stack, w.cond)? != 0),
+    }
+}
+
+/// Adds `n` steps that threading skipped (see `super::fuse`) and checks
+/// the budget, so the limit trips on exactly the runs it would have
+/// tripped on had each skipped step executed.
+#[inline(always)]
+fn charge(steps: &mut u64, n: u32, max_steps: u64) -> Result<(), SimError> {
+    *steps += u64::from(n);
+    if *steps > max_steps {
+        return Err(SimError::StepLimitExceeded { limit: max_steps });
+    }
+    Ok(())
+}
+
 impl<'p> Backend<'p> for Bytecode<'p> {
     type Proc = CProc;
 
@@ -192,7 +242,8 @@ impl<'p> Backend<'p> for Bytecode<'p> {
 
     /// Runs `proc` from its saved pc until it blocks, spawns or
     /// completes. Each executed instruction is one micro-step, counted
-    /// and limited exactly like the interpreter's statement steps.
+    /// and limited exactly like the interpreter's statement steps, plus
+    /// the threaded steps charged by jumps and branches.
     /// Inlined into the scheduler loop so the step counter stays in a
     /// register across the dispatch loop (about 10% of ns/step on
     /// scheduler-bound specs).
@@ -207,16 +258,53 @@ impl<'p> Backend<'p> for Bytecode<'p> {
     ) -> Result<Yield<'p>, SimError> {
         let (prog, spec, stack) = (self.prog, self.spec, &mut self.stack);
         loop {
-            *steps += 1;
-            if *steps > max_steps {
-                return Err(SimError::StepLimitExceeded { limit: max_steps });
-            }
+            charge(steps, 1, max_steps)?;
             match &prog.code[proc.pc as usize] {
                 Instr::Nop => proc.pc += 1,
-                Instr::Jump(to) => proc.pc = *to,
-                Instr::JumpIfZero { cond, to } => {
+                Instr::Jump { to, charge: n } => {
+                    proc.pc = *to;
+                    charge(steps, *n, max_steps)?;
+                }
+                Instr::JumpIfZero {
+                    cond,
+                    to,
+                    charge: n,
+                } => {
                     let v = eval(prog, spec, &proc.calls, &proc.params, state, stack, *cond)?;
-                    proc.pc = if v == 0 { *to } else { proc.pc + 1 };
+                    if v == 0 {
+                        proc.pc = *to;
+                        charge(steps, *n, max_steps)?;
+                    } else {
+                        proc.pc += 1;
+                    }
+                }
+                Instr::Test {
+                    pred,
+                    to,
+                    charge: n,
+                } => {
+                    // A run of false tests (a decode run, an `else if`
+                    // chain) is walked here, one step per test plus each
+                    // false edge's charge, without re-entering dispatch.
+                    let (mut pred, mut to, mut n) = (*pred, *to, *n);
+                    loop {
+                        if test(&prog.preds[pred as usize], state) {
+                            proc.pc += 1;
+                            break;
+                        }
+                        proc.pc = to;
+                        charge(steps, n, max_steps)?;
+                        let Instr::Test {
+                            pred: p,
+                            to: t,
+                            charge: c,
+                        } = prog.code[to as usize]
+                        else {
+                            break;
+                        };
+                        charge(steps, 1, max_steps)?;
+                        (pred, to, n) = (p, t, c);
+                    }
                 }
                 Instr::StoreVar { slot, ty, value } => {
                     let v = eval(prog, spec, &proc.calls, &proc.params, state, stack, *value)?;
@@ -264,9 +352,7 @@ impl<'p> Backend<'p> for Bytecode<'p> {
                     proc.pc += 1;
                 }
                 Instr::WaitUntil { site } => {
-                    let cond = prog.waits[*site as usize].cond;
-                    let v = eval(prog, spec, &proc.calls, &proc.params, state, stack, cond)?;
-                    if v != 0 {
+                    if wait_holds(prog, spec, proc, state, stack, *site)? {
                         proc.pc += 1;
                     } else {
                         // Pc stays on the wait: re-executes on wake, like the
@@ -409,17 +495,7 @@ impl<'p> Backend<'p> for Bytecode<'p> {
     }
 
     fn holds(&mut self, proc: &CProc, site: u32, state: &SharedState) -> Result<bool, SimError> {
-        let (prog, spec) = (self.prog, self.spec);
-        let cond = prog.waits[site as usize].cond;
-        Ok(eval(
-            prog,
-            spec,
-            &proc.calls,
-            &proc.params,
-            state,
-            &mut self.stack,
-            cond,
-        )? != 0)
+        wait_holds(self.prog, self.spec, proc, state, &mut self.stack, site)
     }
 
     fn wait_slots(&self, site: u32) -> &WaitSlots {

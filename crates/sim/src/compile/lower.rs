@@ -281,7 +281,11 @@ impl<'a> Lowerer<'a> {
                 let slots = WaitSlots::of(cond);
                 let cond = self.expr(cond, sub);
                 let site = self.out.waits.len() as u32;
-                self.out.waits.push(WaitSite { cond, slots });
+                self.out.waits.push(WaitSite {
+                    cond,
+                    slots,
+                    any: None,
+                });
                 self.push(Instr::WaitUntil { site });
             }
             Stmt::Wait(WaitCond::For(n)) | Stmt::Delay(n) => self.push(Instr::WaitFor(*n)),
@@ -296,12 +300,22 @@ impl<'a> Lowerer<'a> {
                 let cond = self.expr(cond, sub);
                 let l_else = self.new_label();
                 let l_end = self.new_label();
-                self.push(Instr::JumpIfZero { cond, to: l_else });
+                self.push(Instr::JumpIfZero {
+                    cond,
+                    to: l_else,
+                    charge: 0,
+                });
                 self.block(then_body, sub);
-                self.push(Instr::Jump(l_end));
+                self.push(Instr::Jump {
+                    to: l_end,
+                    charge: 0,
+                });
                 self.bind(l_else);
                 self.block(else_body, sub);
-                self.push(Instr::Jump(l_end));
+                self.push(Instr::Jump {
+                    to: l_end,
+                    charge: 0,
+                });
                 self.bind(l_end);
             }
             // while: [Nop] check: [JumpIfZero end] body.. [Jump check].
@@ -314,9 +328,16 @@ impl<'a> Lowerer<'a> {
                 let l_end = self.new_label();
                 self.bind(l_check);
                 let cond = self.expr(cond, sub);
-                self.push(Instr::JumpIfZero { cond, to: l_end });
+                self.push(Instr::JumpIfZero {
+                    cond,
+                    to: l_end,
+                    charge: 0,
+                });
                 self.block(body, sub);
-                self.push(Instr::Jump(l_check));
+                self.push(Instr::Jump {
+                    to: l_check,
+                    charge: 0,
+                });
                 self.bind(l_end);
             }
             // for: [ForInit] next: [ForNext] body.. [Jump next].
@@ -342,7 +363,10 @@ impl<'a> Lowerer<'a> {
                 self.bind(l_next);
                 self.push(Instr::ForNext { site });
                 self.block(body, sub);
-                self.push(Instr::Jump(l_next));
+                self.push(Instr::Jump {
+                    to: l_next,
+                    charge: 0,
+                });
                 self.bind(l_end);
             }
             // loop: [Nop] head: [Nop] body.. [Jump head]. Statement step,
@@ -353,7 +377,10 @@ impl<'a> Lowerer<'a> {
                 self.bind(l_head);
                 self.push(Instr::Nop);
                 self.block(body, sub);
-                self.push(Instr::Jump(l_head));
+                self.push(Instr::Jump {
+                    to: l_head,
+                    charge: 0,
+                });
             }
             // call: [Call site] [EndCall site], callee body shared. The
             // `Call` step evaluates `in` arguments in the caller's

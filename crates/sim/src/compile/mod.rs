@@ -19,13 +19,20 @@
 //!    preserves the interpreter's micro-step count exactly.
 //! 3. **emit** (`emit`) — resolve labels to absolute program counters
 //!    and assemble the final [`CompiledSpec`].
+//! 4. **fuse** (`fuse`) — over the absolute code, thread jumps and
+//!    branch false edges past `Jump`/`Nop` chains with a step charge,
+//!    turn branches on leaf predicates (a variable or signal compared
+//!    with constants) into compact range `Test`s, and record the leaf
+//!    predicates of `||`-of-leaf wait conditions. Rewrites are in place,
+//!    so every pc stays valid.
 //!
 //! Execution (`exec`) is the bytecode backend of the one event scheduler
 //! the interpreter also runs under: each process is a resumable program
-//! counter over the flat code — a single loop whose only control
-//! transfer is the opcode dispatch, with wait points recorded as the pc
-//! to resume at. [`SimKernel::Compiled`](crate::SimKernel), the default
-//! kernel, runs it.
+//! counter over the flat code — a single loop whose control transfers
+//! are the opcode dispatch and, for a run of false `Test`s, one tight
+//! inner loop, with wait points recorded as the pc to resume at.
+//! [`SimKernel::Compiled`](crate::SimKernel), the default kernel, runs
+//! it.
 //!
 //! ## Step parity
 //!
@@ -38,9 +45,23 @@
 //! `JumpIfZero`/`Return`/`Transition`), so the three kernels stay
 //! step-for-step comparable and the equivalence suite can assert full
 //! [`SimResult`](crate::SimResult) equality.
+//!
+//! The fuse pass makes some of those steps implicit without changing
+//! the count. Three instructions carry a `charge`: `Jump`, and the
+//! false edges of `JumpIfZero` and `Test`. Taking one costs its own
+//! step plus `charge`, the number of `Jump`/`Nop` steps threading
+//! skipped. Those skipped steps have no side effects and always execute
+//! next, and a `Test` reads one slot and cannot fail, so the rewritten
+//! program reaches every side effect, wait and error after exactly the
+//! interpreter's number of steps. The budget is checked after every
+//! charge, so a run that exhausts it inside a skipped chain fails with
+//! the same [`SimError::StepLimitExceeded`](crate::SimError), and the
+//! scheduler counters (`rounds`, `dispatches`, `cond_evals`, `wakeups`,
+//! and `instrs == steps`) are unchanged.
 
 pub(crate) mod emit;
 pub(crate) mod exec;
+pub(crate) mod fuse;
 pub(crate) mod lower;
 pub(crate) mod optimize;
 
@@ -94,11 +115,18 @@ pub(crate) enum Instr {
     /// continuations, `while`/`loop` statement entries, ...).
     Nop,
     /// Unconditional jump (block pop returning past a branch, loop
-    /// back-edges).
-    Jump(Pc),
+    /// back-edges). `charge` counts the side-effect-free `Jump`/`Nop`
+    /// steps the fuse pass threaded past: they are added to the step
+    /// count as if executed (see the module docs on step parity).
+    Jump { to: Pc, charge: u32 },
     /// Jump to `to` when `cond` evaluates to zero, else fall through
-    /// (`if` statements and `while` re-checks).
-    JumpIfZero { cond: ExprRef, to: Pc },
+    /// (`if` statements and `while` re-checks). `charge` prices the
+    /// threaded false edge, as in [`Instr::Jump`].
+    JumpIfZero { cond: ExprRef, to: Pc, charge: u32 },
+    /// A [`Instr::JumpIfZero`] whose condition is a leaf predicate:
+    /// `preds[pred]` holds → fall through, else jump to `to` charging
+    /// `charge` threaded steps. Produced only by the fuse pass.
+    Test { pred: u32, to: Pc, charge: u32 },
     /// `var := value` on a scalar variable slot (wrapped to `ty`).
     StoreVar {
         slot: u32,
@@ -171,6 +199,33 @@ pub(crate) enum Instr {
 pub(crate) struct WaitSite {
     pub cond: ExprRef,
     pub slots: WaitSlots,
+    /// The condition as an OR of leaf predicates, when it is one: it
+    /// holds iff any of them does. Set by the fuse pass.
+    pub any: Option<PredRef>,
+}
+
+/// A slice of [`CompiledSpec::preds`]: `preds[off .. off + len]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PredRef {
+    pub off: u32,
+    pub len: u32,
+}
+
+/// The scalar a leaf predicate reads. Both reads are infallible.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Leaf {
+    Var(u32),
+    Sig(u32),
+}
+
+/// A leaf predicate: `lo <= leaf <= hi`. Comparisons of a slot with a
+/// constant and `&&`s of them on one slot all reduce to one inclusive
+/// range; an empty range (`lo > hi`) never holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Pred {
+    pub leaf: Leaf,
+    pub lo: i64,
+    pub hi: i64,
 }
 
 /// A `for` loop site: induction variable slot/type, bound expressions
@@ -255,6 +310,8 @@ pub struct CompiledSpec {
     /// Interned parameter names, referenced by error-reporting ops.
     pub(crate) names: Vec<String>,
     pub(crate) waits: Vec<WaitSite>,
+    /// Leaf predicates of [`Instr::Test`] branches and fused wait sites.
+    pub(crate) preds: Vec<Pred>,
     pub(crate) fors: Vec<ForSite>,
     pub(crate) calls: Vec<CallSite>,
     pub(crate) trans: Vec<TransSite>,
@@ -284,9 +341,12 @@ impl CompiledSpec {
     }
 }
 
-/// Lowers `spec` to bytecode: the full lower → optimize → emit pipeline.
+/// Lowers `spec` to bytecode: the full lower → optimize → emit → fuse
+/// pipeline.
 pub fn compile(spec: &Spec) -> CompiledSpec {
     let mut lowered = lower::lower(spec);
     optimize::peephole(&mut lowered);
-    emit::emit(lowered)
+    let mut prog = emit::emit(lowered);
+    fuse::fuse(&mut prog);
+    prog
 }

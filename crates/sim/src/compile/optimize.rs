@@ -9,6 +9,9 @@
 //! index, unbound parameter) and the interpreter always evaluates both
 //! sides. Every rewrite also preserves instruction count at each point a
 //! pc can observe, keeping micro-step parity with the interpreters.
+//! Rewrites that skip steps and charge for them — jump threading and
+//! compact predicate tests — need absolute pcs and live in
+//! [`super::fuse`], after emit.
 
 use modref_spec::{BinOp, UnOp};
 
@@ -73,9 +76,16 @@ fn as_const(pool: &[EOp], r: ExprRef) -> Option<i64> {
 pub(crate) fn peephole(lowered: &mut Lowered) {
     for instr in &mut lowered.code {
         match instr {
-            Instr::JumpIfZero { cond, to } => {
+            Instr::JumpIfZero { cond, to, charge } => {
                 if let Some(v) = as_const(&lowered.pool, *cond) {
-                    *instr = if v == 0 { Instr::Jump(*to) } else { Instr::Nop };
+                    *instr = if v == 0 {
+                        Instr::Jump {
+                            to: *to,
+                            charge: *charge,
+                        }
+                    } else {
+                        Instr::Nop
+                    };
                 }
             }
             Instr::WaitUntil { site } => {

@@ -13,7 +13,10 @@
 //! handshakes, protocol subroutines, arbiters and server loops the
 //! optimizations target), all three kernels must produce identical
 //! observable variable values, final time, step counts and — on failing
-//! runs — identical deadlock/step-limit verdicts.
+//! runs — identical deadlock/step-limit verdicts. The compiled kernel's
+//! fuse pass skips side-effect-free jumps and charges them instead, so
+//! its step-limit verdicts are also swept at every budget across the
+//! first bus transfers of a refined run.
 
 use modref_rng::Rng;
 
@@ -90,6 +93,55 @@ fn assert_kernels_agree(spec: &Spec, max_steps: u64, context: &str) {
     }
 }
 
+/// Compiled and event-driven runs of `spec` at one budget: identical
+/// `Ok`/`Err` results, and on success identical scheduler counters.
+fn assert_compiled_matches_event(spec: &Spec, max_steps: u64, context: &str) {
+    let compiled = run_kernel(spec, SimKernel::Compiled, max_steps);
+    let event = run_kernel(spec, SimKernel::EventDriven, max_steps);
+    assert_eq!(compiled, event, "{context}, max_steps {max_steps}");
+    if let (Ok(c), Ok(e)) = (&compiled, &event) {
+        let counters = |r: &SimResult| {
+            let s = &r.sched;
+            [
+                s.rounds,
+                s.dispatches,
+                s.cond_evals,
+                s.wakeups,
+                s.timer_pops,
+            ]
+        };
+        assert_eq!(counters(c), counters(e), "{context}, max_steps {max_steps}");
+        assert_eq!(c.sched.instrs, c.steps, "{context}: instrs == steps");
+    }
+}
+
+/// The perfbench `synth64_traces` spec shape.
+const SYNTH64: SynthConfig = SynthConfig {
+    leaves: 64,
+    vars: 64,
+    stmts_per_leaf: 6,
+    fanout: 3,
+    loop_percent: 30,
+};
+
+fn medical_model(model: ImplModel) -> Spec {
+    let spec = medical_spec();
+    let graph = modref::graph::AccessGraph::derive(&spec);
+    let alloc = medical_allocation();
+    let part = medical_partition(&spec, &alloc, Design::Design1);
+    refine(&spec, &graph, &alloc, &part, model)
+        .expect("medical refines")
+        .spec
+}
+
+fn synth64_model(synth: &SynthSpec, model: ImplModel) -> Spec {
+    let alloc = Allocation::proc_plus_asic();
+    let part = synth.partition(&alloc, 0);
+    refine(&synth.spec, &synth.graph(), &alloc, &part, model)
+        .unwrap_or_else(|e| panic!("synth64 {model}: {e}"))
+        .spec
+}
+
 fn small_config(rng: &mut Rng) -> SynthConfig {
     SynthConfig {
         leaves: rng.gen_range(2..6usize),
@@ -154,6 +206,58 @@ fn kernels_agree_on_random_specs_and_refinements() {
                 5_000_000,
                 &format!("case {case} seed {seed} {model}"),
             );
+        }
+    }
+}
+
+/// A large, bus-heavy spec: the seed-11 synth64 shape on the alternating
+/// partition under Models 1–4. Its memory servers decode 64 variables
+/// one `if` each and its arbiters wait on wide `||`s of request lines —
+/// the chains the compiled kernel runs as fused predicate scans.
+#[test]
+fn kernels_agree_on_synth64_refinements() {
+    let synth = SynthSpec::generate(11, &SYNTH64);
+    assert_kernels_agree(&synth.spec, 5_000_000, "synth64 original");
+    for model in ImplModel::ALL {
+        let refined = synth64_model(&synth, model);
+        assert_kernels_agree(&refined, 5_000_000, &format!("synth64 {model}"));
+    }
+}
+
+/// Budgets that run out mid-chain: every limit across the first bus
+/// transfers of a medical Model1 run, then seeded random limits over
+/// whole runs. Within its first 400 steps the run grants the bus
+/// (arbiter priority chain and `||` wait), decodes addresses in the
+/// memory servers (runs of skipped `if` arms) and completes several
+/// handshakes, so the sweep ends budgets inside every kind of charged
+/// jump. The compiled kernel must fail exactly when the event kernel
+/// does, and succeed with the same result otherwise.
+#[test]
+fn step_limit_sweep_agrees_mid_chain() {
+    let model1 = medical_model(ImplModel::Model1);
+    for limit in 0..=400 {
+        assert_compiled_matches_event(&model1, limit, "medical Model1");
+    }
+
+    let synth = SynthSpec::generate(11, &SYNTH64);
+    let mut specs: Vec<(String, Spec)> = ImplModel::ALL
+        .into_iter()
+        .map(|m| (format!("medical {m}"), medical_model(m)))
+        .collect();
+    specs.push((
+        "synth64 Model1".to_string(),
+        synth64_model(&synth, ImplModel::Model1),
+    ));
+    let mut rng = Rng::seed_from_u64(0x57E9_0017);
+    for (name, spec) in &specs {
+        let full = run_kernel(spec, SimKernel::EventDriven, 5_000_000)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .steps;
+        // The last failing and the first passing budget, then random ones.
+        let mut limits = vec![full - 1, full];
+        limits.extend((0..6).map(|_| rng.gen_range(0..full)));
+        for limit in limits {
+            assert_compiled_matches_event(spec, limit, name);
         }
     }
 }

@@ -3,15 +3,22 @@
 //! the determinism guard — aggregated metrics are identical whether the
 //! exploration ran on one thread or many. The explore/verify sharing
 //! counters are exact too, and so is the clustering work counter, which
-//! pins the incremental merge loop's O(n²) pair-score bound.
+//! pins the incremental merge loop's O(n²) pair-score bound. The
+//! simulator's `sim.*` work counters on the medical refinements are
+//! pinned exactly, so a kernel change that alters the schedule or the
+//! micro-step count fails here rather than in a wall-time bench.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use modref::core::api::{Codesign, ExploreOpts, VerifyOpts};
+use modref::core::{refine, ImplModel};
 use modref::graph::AccessGraph;
 use modref::obs::{self, ClockMode, Event};
 use modref::partition::algorithms::HierarchicalClustering;
-use modref::workloads::{fig2_spec, medical_spec, SynthConfig, SynthSpec};
+use modref::sim::{SimConfig, SimKernel, SimResult, Simulator};
+use modref::workloads::{
+    fig2_spec, medical_allocation, medical_partition, medical_spec, Design, SynthConfig, SynthSpec,
+};
 
 /// The recorder is process-global; tests that flip it must not overlap.
 static RECORDER: Mutex<()> = Mutex::new(());
@@ -198,4 +205,56 @@ fn clustering_pair_evals_are_exact() {
     }
     // n = 64, t = 2: 2016 initial scores + 1953 rescores.
     assert_eq!(expected_pair_evals(64, 2), 3969);
+}
+
+/// The simulator's work counters on the medical Design1 refinements,
+/// pinned exactly: `[steps, rounds, cond_evals, wakeups, dispatches]`.
+/// The default (compiled) kernel publishes them as `sim.instrs`,
+/// `sim.rounds`, `sim.cond_evals`, `sim.wakeups` and `sim.dispatches`;
+/// the event-driven interpreter must count the same, since fused
+/// branches charge every step they skip.
+#[test]
+fn sim_counters_are_exact() {
+    let _l = hold();
+    let spec = medical_spec();
+    let graph = AccessGraph::derive(&spec);
+    let alloc = medical_allocation();
+    let part = medical_partition(&spec, &alloc, Design::Design1);
+    let pinned = [
+        (ImplModel::Model1, [20735, 2417, 2986, 2391, 2423]),
+        (ImplModel::Model2, [17731, 2417, 2762, 2391, 2427]),
+        (ImplModel::Model3, [16719, 2337, 2312, 2311, 2351]),
+        (ImplModel::Model4, [33827, 4801, 5074, 4775, 4815]),
+    ];
+    let counts = |r: &SimResult| {
+        let s = &r.sched;
+        [r.steps, s.rounds, s.cond_evals, s.wakeups, s.dispatches]
+    };
+    for (model, want) in pinned {
+        let refined = refine(&spec, &graph, &alloc, &part, model)
+            .expect("medical refines")
+            .spec;
+        obs::init(ClockMode::Logical);
+        let compiled = Simulator::new(&refined).run().expect("completes");
+        let trace = obs::shutdown();
+        let published = [
+            counter_value(&trace, "sim.instrs"),
+            counter_value(&trace, "sim.rounds"),
+            counter_value(&trace, "sim.cond_evals"),
+            counter_value(&trace, "sim.wakeups"),
+            counter_value(&trace, "sim.dispatches"),
+        ];
+        assert_eq!(published, want, "{model}: published sim.* counters");
+        assert_eq!(counts(&compiled), want, "{model}: compiled kernel");
+        let event = Simulator::with_config(
+            &refined,
+            SimConfig {
+                kernel: SimKernel::EventDriven,
+                ..SimConfig::default()
+            },
+        )
+        .run()
+        .expect("completes");
+        assert_eq!(counts(&event), want, "{model}: event-driven kernel");
+    }
 }
