@@ -19,10 +19,9 @@
 //! satisfiable, so over-approximation never produces a false deadlock
 //! report — the soundness direction the DL lints need.
 
-use std::collections::HashMap;
-
 use modref_spec::expr::{BinOp, UnOp};
 use modref_spec::stmt::CallArg;
+use modref_spec::visit::for_each_stmt;
 use modref_spec::{Expr, LValue, SignalId, Spec, Stmt, VarId};
 
 /// Rounds of plain joining before [`Interval::widen`] kicks in.
@@ -195,6 +194,29 @@ pub struct Ranges {
 }
 
 impl Ranges {
+    /// Every entity at exactly its initial value — the state before any
+    /// write has run.
+    pub fn initial(spec: &Spec) -> Self {
+        Self {
+            vars: spec
+                .variables()
+                .map(|(_, v)| Interval::exact(v.init()))
+                .collect(),
+            signals: spec
+                .signals()
+                .map(|(_, s)| Interval::exact(s.init()))
+                .collect(),
+        }
+    }
+
+    /// The range slot of one entity.
+    pub fn slot_mut(&mut self, e: Entity) -> &mut Interval {
+        match e {
+            Entity::Var(v) => &mut self.vars[v.index()],
+            Entity::Signal(s) => &mut self.signals[s.index()],
+        }
+    }
+
     /// The range of a variable (`TOP` for foreign ids).
     pub fn var(&self, v: VarId) -> Interval {
         self.vars.get(v.index()).copied().unwrap_or(Interval::TOP)
@@ -276,35 +298,30 @@ pub enum Entity {
     Signal(SignalId),
 }
 
-/// Collects every `(entity, value)` write a statement performs, where
-/// `None` means "unknown value" (a call's `out` argument). Recurses
-/// into nested bodies.
-pub fn collect_writes<'a>(stmt: &'a Stmt, out: &mut Vec<(Entity, Option<&'a Expr>)>) {
+/// Calls `f` for each `(entity, value)` write the statement itself
+/// performs, where `None` means "unknown value" (a call's `out`
+/// argument). Nested statements are not visited.
+pub fn stmt_writes<'a>(stmt: &'a Stmt, mut f: impl FnMut(Entity, Option<&'a Expr>)) {
     match stmt {
         Stmt::Assign { target, value } => match target {
-            LValue::Var(v) | LValue::Index(v, _) => out.push((Entity::Var(*v), Some(value))),
+            LValue::Var(v) | LValue::Index(v, _) => f(Entity::Var(*v), Some(value)),
             LValue::Param(_) => {}
         },
-        Stmt::SignalSet { signal, value } => out.push((Entity::Signal(*signal), Some(value))),
+        Stmt::SignalSet { signal, value } => f(Entity::Signal(*signal), Some(value)),
         Stmt::Call { args, .. } => {
             for a in args {
                 if let CallArg::Out(LValue::Var(v) | LValue::Index(v, _)) = a {
-                    out.push((Entity::Var(*v), None));
+                    f(Entity::Var(*v), None);
                 }
             }
         }
         Stmt::For { var, from, to, .. } => {
             // The induction variable sweeps `from ..= to`; joining both
             // bound expressions covers every value it takes.
-            out.push((Entity::Var(*var), Some(from)));
-            out.push((Entity::Var(*var), Some(to)));
+            f(Entity::Var(*var), Some(from));
+            f(Entity::Var(*var), Some(to));
         }
         _ => {}
-    }
-    for body in stmt.bodies() {
-        for s in body {
-            collect_writes(s, out);
-        }
     }
 }
 
@@ -313,29 +330,11 @@ pub fn collect_writes<'a>(stmt: &'a Stmt, out: &mut Vec<(Entity, Option<&'a Expr
 /// in the spec (all behavior bodies and all subroutine bodies),
 /// iterated to a fixpoint with widening.
 pub fn global_ranges(spec: &Spec) -> Ranges {
-    let mut ranges = Ranges {
-        vars: spec
-            .variables()
-            .map(|(_, v)| Interval::exact(v.init()))
-            .collect(),
-        signals: spec
-            .signals()
-            .map(|(_, s)| Interval::exact(s.init()))
-            .collect(),
-    };
-
+    let mut ranges = Ranges::initial(spec);
     let mut writes: Vec<(Entity, Option<&Expr>)> = Vec::new();
-    for (_, b) in spec.behaviors() {
-        if let Some(body) = b.body() {
-            for s in body {
-                collect_writes(s, &mut writes);
-            }
-        }
-    }
-    for (_, sub) in spec.subroutines() {
-        for s in sub.body() {
-            collect_writes(s, &mut writes);
-        }
+    let bodies = spec.behaviors().filter_map(|(_, b)| b.body());
+    for body in bodies.chain(spec.subroutines().map(|(_, sub)| sub.body())) {
+        for_each_stmt(body, &mut |s| stmt_writes(s, |e, v| writes.push((e, v))));
     }
 
     for round in 0..MAX_ROUNDS {
@@ -345,10 +344,7 @@ pub fn global_ranges(spec: &Spec) -> Ranges {
                 Some(e) => eval(e, &ranges),
                 None => Interval::TOP,
             };
-            let slot = match entity {
-                Entity::Var(v) => &mut ranges.vars[v.index()],
-                Entity::Signal(s) => &mut ranges.signals[s.index()],
-            };
+            let slot = ranges.slot_mut(*entity);
             let mut next = slot.join(written);
             if round >= WIDEN_AFTER {
                 next = slot.widen(next);
@@ -361,40 +357,6 @@ pub fn global_ranges(spec: &Spec) -> Ranges {
         if !changed {
             break;
         }
-    }
-    ranges
-}
-
-/// Like [`global_ranges`] but with a caller-supplied filter deciding
-/// which write sites participate; everything excluded contributes only
-/// its entity's initial value. The deadlock engine uses this to drop
-/// writes that sit behind never-satisfied waits. `site_values` carries
-/// pre-evaluated write values (under the *full* ranges, which
-/// over-approximates what the write can ever produce).
-pub fn ranges_from_writes(
-    spec: &Spec,
-    site_values: &HashMap<usize, (Entity, Interval)>,
-    live: impl Fn(usize) -> bool,
-) -> Ranges {
-    let mut ranges = Ranges {
-        vars: spec
-            .variables()
-            .map(|(_, v)| Interval::exact(v.init()))
-            .collect(),
-        signals: spec
-            .signals()
-            .map(|(_, s)| Interval::exact(s.init()))
-            .collect(),
-    };
-    for (&site, &(entity, written)) in site_values {
-        if !live(site) {
-            continue;
-        }
-        let slot = match entity {
-            Entity::Var(v) => &mut ranges.vars[v.index()],
-            Entity::Signal(s) => &mut ranges.signals[s.index()],
-        };
-        *slot = slot.join(written);
     }
     ranges
 }
@@ -478,17 +440,20 @@ mod tests {
     }
 
     #[test]
-    fn collect_writes_recurses_and_marks_out_args_unknown() {
+    fn stmt_writes_stays_shallow_and_marks_out_args_unknown() {
         let mut spec = Spec::new("t");
         let leaf = spec.add_behavior(Behavior::new("L", BehaviorKind::Leaf { body: vec![] }));
         let x = spec.add_variable("x", DataType::int(16), 0, Some(leaf));
-        let body = vec![if_then(lit(1), vec![assign(x, lit(7))])];
+        let sub = spec.add_subroutine(modref_spec::Subroutine::new("s", vec![], vec![]));
+        let nested = if_then(lit(1), vec![assign(x, lit(7))]);
+        let call = Stmt::Call {
+            sub,
+            args: vec![CallArg::Out(LValue::Var(x))],
+        };
         let mut out = Vec::new();
-        for s in &body {
-            collect_writes(s, &mut out);
+        for s in [&nested, &nested.bodies()[0][0], &call] {
+            stmt_writes(s, |e, v| out.push((e, v.is_some())));
         }
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, Entity::Var(x));
-        assert!(out[0].1.is_some());
+        assert_eq!(out, [(Entity::Var(x), true), (Entity::Var(x), false)]);
     }
 }

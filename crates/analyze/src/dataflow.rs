@@ -8,9 +8,66 @@
 
 use std::collections::HashSet;
 
-use modref_spec::VarId;
+use modref_spec::stmt::CallArg;
+use modref_spec::{LValue, Stmt, VarId};
 
 use crate::cfg::{Cfg, NodeId};
+
+/// What one CFG node's own statement does to variables.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Effects {
+    /// Variables read (guards, rhs, indices).
+    pub uses: Vec<VarId>,
+    /// Scalar writes, which kill previous definitions.
+    pub defs: Vec<VarId>,
+    /// Array-element writes: they define but do not kill.
+    pub weak_defs: Vec<VarId>,
+    /// A `for` head's loop variable: liveness treats it as used (the
+    /// increment/compare read it), may-uninit does not.
+    pub loop_var: Option<VarId>,
+    /// Set for a plain `v := e` scalar assignment, the only shape the
+    /// dead-store lint fires on.
+    pub assign_scalar: Option<VarId>,
+}
+
+/// The effects of every node of `cfg`, by node id.
+pub fn effects(cfg: &Cfg<'_>) -> Vec<Effects> {
+    cfg.nodes
+        .iter()
+        .map(|n| n.stmt.map_or_else(Effects::default, stmt_effects))
+        .collect()
+}
+
+fn stmt_effects(s: &Stmt) -> Effects {
+    let mut fx = Effects {
+        uses: s.direct_reads(),
+        ..Effects::default()
+    };
+    let mut define = |lv: &LValue| match lv {
+        LValue::Var(v) => fx.defs.push(*v),
+        LValue::Index(v, _) => fx.weak_defs.push(*v),
+        LValue::Param(_) => {}
+    };
+    match s {
+        Stmt::Assign { target, .. } => {
+            define(target);
+            if let LValue::Var(v) = target {
+                fx.assign_scalar = Some(*v);
+            }
+        }
+        Stmt::Call { args, .. } => args.iter().for_each(|a| {
+            if let CallArg::Out(lv) = a {
+                define(lv);
+            }
+        }),
+        Stmt::For { var, .. } => {
+            fx.defs.push(*var);
+            fx.loop_var = Some(*var);
+        }
+        _ => {}
+    }
+    fx
+}
 
 /// A use of `var` at `node` that may execute before any assignment to
 /// `var` on some path from entry.
@@ -27,7 +84,11 @@ pub struct UninitUse {
 /// clears the fact, a weak (array-element) def does not. Returns every
 /// `(node, var)` where a tracked variable is read while possibly
 /// uninitialized, in node order.
-pub fn maybe_uninit_uses(cfg: &Cfg, tracked: &HashSet<VarId>) -> Vec<UninitUse> {
+pub fn maybe_uninit_uses(
+    cfg: &Cfg<'_>,
+    fx: &[Effects],
+    tracked: &HashSet<VarId>,
+) -> Vec<UninitUse> {
     let n = cfg.nodes.len();
     // IN[entry] = tracked; everything else starts empty (bottom) and grows.
     let mut input: Vec<HashSet<VarId>> = vec![HashSet::new(); n];
@@ -36,10 +97,10 @@ pub fn maybe_uninit_uses(cfg: &Cfg, tracked: &HashSet<VarId>) -> Vec<UninitUse> 
     while let Some(node) = work.pop() {
         // OUT = IN - strong defs.
         let mut out = input[node].clone();
-        for d in &cfg.nodes[node].defs {
+        for d in &fx[node].defs {
             out.remove(d);
         }
-        for &s in &cfg.nodes[node].succs {
+        for &s in cfg.succs(node) {
             let before = input[s].len();
             input[s].extend(out.iter().copied());
             if input[s].len() != before {
@@ -48,7 +109,7 @@ pub fn maybe_uninit_uses(cfg: &Cfg, tracked: &HashSet<VarId>) -> Vec<UninitUse> 
         }
     }
     let mut found = Vec::new();
-    for (id, node) in cfg.nodes.iter().enumerate() {
+    for (id, node) in fx.iter().enumerate() {
         for &u in &node.uses {
             if tracked.contains(&u) && input[id].contains(&u) {
                 found.push(UninitUse { node: id, var: u });
@@ -61,8 +122,8 @@ pub fn maybe_uninit_uses(cfg: &Cfg, tracked: &HashSet<VarId>) -> Vec<UninitUse> 
 /// The set of tracked variables whose first use on some path precedes any
 /// strong def — the "entry-exposed" uses. A behavior may re-activate, so
 /// anything entry-exposed must be considered live at exit.
-pub fn entry_exposed(cfg: &Cfg, tracked: &HashSet<VarId>) -> HashSet<VarId> {
-    maybe_uninit_uses(cfg, tracked)
+pub fn entry_exposed(cfg: &Cfg<'_>, fx: &[Effects], tracked: &HashSet<VarId>) -> HashSet<VarId> {
+    maybe_uninit_uses(cfg, fx, tracked)
         .into_iter()
         .map(|u| u.var)
         .collect()
@@ -73,7 +134,8 @@ pub fn entry_exposed(cfg: &Cfg, tracked: &HashSet<VarId>) -> HashSet<VarId> {
 /// be read after `n` executes. `live_at_exit` seeds the exit node (e.g.
 /// entry-exposed vars, to model behavior re-activation).
 pub fn liveness(
-    cfg: &Cfg,
+    cfg: &Cfg<'_>,
+    fx: &[Effects],
     tracked: &HashSet<VarId>,
     live_at_exit: &HashSet<VarId>,
 ) -> Vec<HashSet<VarId>> {
@@ -88,7 +150,7 @@ pub fn liveness(
     let mut work: Vec<NodeId> = (0..n).collect();
     while let Some(node) = work.pop() {
         let mut out: HashSet<VarId> = HashSet::new();
-        for &s in &cfg.nodes[node].succs {
+        for &s in cfg.succs(node) {
             out.extend(live_in[s].iter().copied());
         }
         if node == cfg.exit {
@@ -97,14 +159,14 @@ pub fn liveness(
         // IN = (OUT - strong defs) ∪ uses ∪ weak defs. A weak def both
         // reads and writes part of the variable, so it keeps it live.
         let mut inn = out.clone();
-        for d in &cfg.nodes[node].defs {
+        for d in &fx[node].defs {
             inn.remove(d);
         }
-        for u in cfg.nodes[node]
+        for u in fx[node]
             .uses
             .iter()
-            .chain(&cfg.nodes[node].weak_defs)
-            .chain(cfg.nodes[node].loop_var.as_ref())
+            .chain(&fx[node].weak_defs)
+            .chain(fx[node].loop_var.as_ref())
         {
             if tracked.contains(u) {
                 inn.insert(*u);
@@ -114,7 +176,7 @@ pub fn liveness(
         live_out[node] = out;
         if changed {
             live_in[node] = inn;
-            for &p in &cfg.nodes[node].preds {
+            for &p in cfg.preds(node) {
                 work.push(p);
             }
         }
@@ -130,8 +192,22 @@ mod tests {
     use modref_spec::stmt::{assign, if_then, while_loop};
     use modref_spec::StmtOwner;
 
-    fn build(body: &[modref_spec::Stmt]) -> Cfg {
+    fn build(body: &[modref_spec::Stmt]) -> Cfg<'_> {
         Cfg::build(StmtOwner::Behavior(BehaviorId::from_raw(0)), body, None)
+    }
+
+    #[test]
+    fn effects_follow_each_node_statement() {
+        let x = VarId::from_raw(0);
+        let y = VarId::from_raw(1);
+        let body = vec![if_then(gt(var(x), lit(0)), vec![assign(y, lit(1))])];
+        let fx = effects(&build(&body));
+        // entry, exit, if-head, then-assign.
+        assert_eq!(fx[0], Effects::default());
+        assert_eq!(fx[2].uses, vec![x]);
+        assert!(fx[2].defs.is_empty() && fx[2].assign_scalar.is_none());
+        assert_eq!(fx[3].defs, vec![y]);
+        assert_eq!(fx[3].assign_scalar, Some(y));
     }
 
     #[test]
@@ -142,10 +218,10 @@ mod tests {
         let body = vec![assign(y, var(x)), assign(x, lit(1)), assign(y, var(x))];
         let cfg = build(&body);
         let tracked: HashSet<_> = [x].into();
-        let uses = maybe_uninit_uses(&cfg, &tracked);
+        let uses = maybe_uninit_uses(&cfg, &effects(&cfg), &tracked);
         assert_eq!(uses.len(), 1);
         assert_eq!(uses[0].var, x);
-        assert_eq!(entry_exposed(&cfg, &tracked), [x].into());
+        assert_eq!(entry_exposed(&cfg, &effects(&cfg), &tracked), [x].into());
     }
 
     #[test]
@@ -158,7 +234,7 @@ mod tests {
             assign(y, var(x)),
         ];
         let cfg = build(&body);
-        let uses = maybe_uninit_uses(&cfg, &[x].into());
+        let uses = maybe_uninit_uses(&cfg, &effects(&cfg), &[x].into());
         assert_eq!(uses.len(), 1);
     }
 
@@ -170,7 +246,7 @@ mod tests {
         let body = vec![assign(x, lit(1)), assign(x, lit(2)), assign(y, var(x))];
         let cfg = build(&body);
         let tracked: HashSet<_> = [x].into();
-        let live_out = liveness(&cfg, &tracked, &HashSet::new());
+        let live_out = liveness(&cfg, &effects(&cfg), &tracked, &HashSet::new());
         // Node ids: 0 entry, 1 exit, 2..4 statements.
         assert!(!live_out[2].contains(&x), "first store is dead");
         assert!(live_out[3].contains(&x), "second store is read");
@@ -186,7 +262,7 @@ mod tests {
         )];
         let cfg = build(&body);
         let tracked: HashSet<_> = [x].into();
-        let live_out = liveness(&cfg, &tracked, &HashSet::new());
+        let live_out = liveness(&cfg, &effects(&cfg), &tracked, &HashSet::new());
         assert!(live_out[3].contains(&x), "store in body feeds loop head");
     }
 }

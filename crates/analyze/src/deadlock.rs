@@ -21,6 +21,24 @@
 //!   releases its request line starves the arbiter's re-arbitration
 //!   wait and hangs the requester's own release wait (`DL05`).
 //!
+//! # The dead-wait fixpoint
+//!
+//! The greatest fixpoint is one worklist over the CFG nodes of every
+//! body (leaf behaviors and subroutines alike):
+//!
+//! * every wait starts dead; one range array starts at initial values;
+//! * reachability grows from each body's entry and stops at dead waits;
+//!   a newly reached node joins its writes' value hulls into the ranges;
+//! * a wait is evaluated once, and again only when an entity its
+//!   condition reads widens; if it can hold, it revives and
+//!   reachability continues from its node.
+//!
+//! Interval evaluation is monotone and ranges only grow, so a revived
+//! wait stays revivable, and at quiescence every dead wait has been
+//! evaluated against the final ranges: the dead set is the unique
+//! greatest fixpoint. Cost is linear in the spec plus one evaluation per
+//! (widening, reader) pair, counted by `analyze.dl.wait_evals`.
+//!
 //! # The soundness contract
 //!
 //! Every `DL` diagnostic implies the *specification* cannot complete:
@@ -38,11 +56,12 @@
 
 use std::collections::{HashMap, HashSet};
 
+use modref_obs::Tally;
 use modref_spec::behavior::{BehaviorKind, TransitionTarget};
 use modref_spec::printer::expr_to_string;
 use modref_spec::stmt::WaitCond;
 use modref_spec::{
-    BehaviorId, Expr, SignalId, SourceMap, Spec, Stmt, StmtOwner, StmtPath, SubroutineId,
+    BehaviorId, Expr, SignalId, SourceMap, Span, Spec, Stmt, StmtOwner, SubroutineId,
 };
 
 use crate::absint::{self, Entity, Interval, Ranges};
@@ -62,21 +81,25 @@ pub struct HandshakePair {
     pub server: BehaviorId,
 }
 
-/// One statement body under analysis (a leaf behavior's or a
-/// subroutine's), with its CFG and the indices into it the fixpoint
-/// needs.
+/// One statement body under analysis: a leaf behavior's or a
+/// subroutine's.
 struct Body<'a> {
-    owner: StmtOwner,
-    name: String,
+    name: &'a str,
     stmts: &'a [Stmt],
-    cfg: Cfg,
-    /// Wait-until nodes: `(node, condition)`.
-    waits: Vec<(NodeId, &'a Expr)>,
+    cfg: Cfg<'a>,
+    /// Flat index of this body's node 0 (see [`Engine::wait_at`]).
+    base: usize,
+}
+
+/// One `wait until` node.
+struct Wait<'a> {
+    body: usize,
+    node: NodeId,
+    cond: &'a Expr,
 }
 
 /// One write site: a node of one body writing one entity, with the
 /// value's hull under the full global ranges (`TOP` for call out-args).
-#[derive(Debug, Clone, Copy)]
 struct Site {
     body: usize,
     node: NodeId,
@@ -84,8 +107,24 @@ struct Site {
     hull: Interval,
 }
 
-/// Key of a wait in the dead-wait fixpoint.
-type WaitKey = (usize, NodeId);
+/// The spec indexed for the lints. All bodies' CFG nodes share one flat
+/// numbering (`base + node`) addressing the wait and write-site tables.
+struct Engine<'a> {
+    spec: &'a Spec,
+    full: Ranges,
+    bodies: Vec<Body<'a>>,
+    behavior_body: HashMap<BehaviorId, usize>,
+    sub_body: HashMap<SubroutineId, usize>,
+    waits: Vec<Wait<'a>>,
+    /// Per flat node: the index of the wait it is, if any.
+    wait_at: Vec<Option<usize>>,
+    /// Write sites in flat node order; flat node `g` owns
+    /// `sites[site_start[g]..site_start[g + 1]]`.
+    sites: Vec<Site>,
+    site_start: Vec<usize>,
+    /// Per entity slot (variables, then signals): the sites writing it.
+    writes_to: Vec<Vec<usize>>,
+}
 
 /// Runs the `DL01`–`DL05` liveness lints over a specification.
 ///
@@ -98,127 +137,52 @@ pub fn deadlock_lints(
     map: Option<&SourceMap>,
     extra_handshakes: &[HandshakePair],
 ) -> Vec<Diagnostic> {
-    let Some(_top) = spec.top_opt() else {
+    if spec.top_opt().is_none() {
         return Vec::new();
-    };
-    let full = absint::global_ranges(spec);
+    }
+    let engine = Engine::new(spec, map);
+    let mut evals = Tally::new(modref_obs::counter("analyze.dl.wait_evals"));
+    let dead = engine.dead_waits(&mut evals);
 
-    // --- collect bodies, CFGs, waits and write sites -----------------
-    let mut bodies: Vec<Body<'_>> = Vec::new();
-    let mut behavior_body: HashMap<BehaviorId, usize> = HashMap::new();
-    let mut sub_body: HashMap<SubroutineId, usize> = HashMap::new();
-    for (id, b) in spec.behaviors() {
-        if let Some(stmts) = b.body() {
-            behavior_body.insert(id, bodies.len());
-            bodies.push(make_body(
-                StmtOwner::Behavior(id),
-                b.name().to_string(),
-                stmts,
-                map,
-            ));
-        }
+    // Wait-dependency graph over the dead waits (by position in
+    // `dead_list`): an edge W -> W' says "a write that could satisfy W
+    // sits in a body with dead wait W'". Its strongly connected
+    // components name circular-wait cycles; `cycles` maps each wait in
+    // one to the names of the bodies taking part.
+    let dead_list: Vec<usize> = (0..engine.waits.len()).filter(|&w| dead[w]).collect();
+    let mut body_dead: Vec<Vec<usize>> = vec![Vec::new(); engine.bodies.len()];
+    for (i, &w) in dead_list.iter().enumerate() {
+        body_dead[engine.waits[w].body].push(i);
     }
-    for (id, sub) in spec.subroutines() {
-        sub_body.insert(id, bodies.len());
-        bodies.push(make_body(
-            StmtOwner::Subroutine(id),
-            sub.name().to_string(),
-            sub.body(),
-            map,
-        ));
-    }
-
-    let mut sites: Vec<Site> = Vec::new();
-    for (bi, body) in bodies.iter().enumerate() {
-        for (node, cn) in body.cfg.nodes.iter().enumerate() {
-            let Some(path) = &cn.path else { continue };
-            let Some(stmt) = stmt_at(body.stmts, path) else {
-                continue;
-            };
-            for (entity, value) in direct_writes(stmt) {
-                let hull = value.map_or(Interval::TOP, |e| absint::eval(e, &full));
-                sites.push(Site {
-                    body: bi,
-                    node,
-                    entity,
-                    hull,
-                });
-            }
-        }
-    }
-    let mut writes_to: HashMap<Entity, Vec<usize>> = HashMap::new();
-    for (i, s) in sites.iter().enumerate() {
-        writes_to.entry(s.entity).or_default().push(i);
-    }
-
-    // --- greatest dead-wait fixpoint ---------------------------------
-    // Start from "every wait is dead" and remove any wait whose
-    // condition could be satisfied by initial values or by a write not
-    // itself trapped behind dead waits. What survives provably never
-    // passes. Removal is monotone, so the result is the unique greatest
-    // fixpoint regardless of iteration order.
-    let mut dead: HashSet<WaitKey> = bodies
-        .iter()
-        .enumerate()
-        .flat_map(|(bi, b)| b.waits.iter().map(move |&(n, _)| (bi, n)))
+    let edges: Vec<Vec<usize>> = (dead_list.iter())
+        .map(|&w| {
+            let mut writers: Vec<usize> = cond_entities(engine.waits[w].cond)
+                .into_iter()
+                .flat_map(|e| engine.writes(e))
+                .map(|&si| engine.sites[si].body)
+                .collect();
+            writers.sort_unstable();
+            writers.dedup();
+            writers
+                .iter()
+                .flat_map(|&b| body_dead[b].iter().copied())
+                .collect()
+        })
         .collect();
-    loop {
-        let live_site = live_sites(&bodies, &sites, &dead);
-        let site_values: HashMap<usize, (Entity, Interval)> = sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i, (s.entity, s.hull)))
+    let mut cycles: HashMap<usize, String> = HashMap::new();
+    for comp in tarjan_scc(&edges).iter().filter(|c| c.len() > 1) {
+        let waits = comp.iter().map(|&i| dead_list[i]);
+        let mut names: Vec<&str> = (waits.clone())
+            .map(|w| engine.bodies[engine.waits[w].body].name)
             .collect();
-        let restricted = absint::ranges_from_writes(spec, &site_values, |i| live_site[i]);
-        let mut removed = false;
-        for (bi, body) in bodies.iter().enumerate() {
-            for &(node, cond) in &body.waits {
-                if dead.contains(&(bi, node)) && !absint::eval(cond, &restricted).definitely_false()
-                {
-                    dead.remove(&(bi, node));
-                    removed = true;
-                }
-            }
-        }
-        if !removed {
-            break;
-        }
+        names.sort_unstable();
+        names.dedup();
+        let names = names.join("`, `");
+        cycles.extend(waits.map(|w| (w, names.clone())));
     }
-
-    // Wait-dependency graph over the dead waits: an edge W -> W' says
-    // "a write that could satisfy W is trapped behind dead wait W'".
-    // Its strongly connected components name circular-wait cycles.
-    let dead_list: Vec<WaitKey> = {
-        let mut v: Vec<WaitKey> = dead.iter().copied().collect();
-        v.sort_unstable();
-        v
-    };
-    let dead_index: HashMap<WaitKey, usize> =
-        dead_list.iter().enumerate().map(|(i, &k)| (k, i)).collect();
-    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); dead_list.len()];
-    for (wi, &(bi, node)) in dead_list.iter().enumerate() {
-        let cond = bodies[bi]
-            .waits
-            .iter()
-            .find(|&&(n, _)| n == node)
-            .map(|&(_, c)| c)
-            .expect("dead wait is a wait");
-        for entity in cond_entities(cond) {
-            for &si in writes_to.get(&entity).into_iter().flatten() {
-                for &(wb, wn) in &dead_list {
-                    if wb == sites[si].body {
-                        if let Some(&ti) = dead_index.get(&(wb, wn)) {
-                            edges[wi].push(ti);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let scc = tarjan_scc(&edges);
 
     // --- must-activation and the flagging walk -----------------------
-    let active = must_active(spec, &full);
+    let active = must_active(spec, &engine.full);
     let mut diags = Vec::new();
     let mut leaf_events: Vec<(BehaviorId, Vec<Ev<'_>>)> = Vec::new();
     for id in spec.reachable() {
@@ -226,115 +190,371 @@ pub fn deadlock_lints(
         if !b.is_leaf() || b.is_server() || !active.contains(&id) {
             continue;
         }
-        let Some(&bi) = behavior_body.get(&id) else {
+        let Some(&bi) = engine.behavior_body.get(&id) else {
             continue;
         };
         let mut walk = Walk {
-            spec,
-            map,
-            full: &full,
-            bodies: &bodies,
-            sub_body: &sub_body,
+            e: &engine,
             dead: &dead,
-            dead_index: &dead_index,
-            dead_list: &dead_list,
-            scc: &scc,
-            writes_to: &writes_to,
+            cycles: &cycles,
             call_stack: Vec::new(),
             events: Vec::new(),
             diags: Vec::new(),
         };
-        walk.block(bi, bodies[bi].stmts, &StmtPath::root(bodies[bi].owner), 0);
+        walk.block(bi, engine.bodies[bi].stmts, Cfg::FIRST);
         diags.extend(walk.diags);
         leaf_events.push((id, walk.events));
     }
 
     // --- DL05: acquired-but-never-released handshakes ----------------
     let mut pairs: Vec<HandshakePair> = extra_handshakes.to_vec();
-    pairs.extend(infer_handshakes(spec, &bodies, &behavior_body));
+    pairs.extend(engine.infer_handshakes());
     pairs.sort_by_key(|p| (p.req, p.ack, p.server));
     pairs.dedup();
     for pair in &pairs {
-        diags.extend(check_handshake(
-            spec,
-            map,
-            &full,
-            &bodies,
-            &behavior_body,
-            &sites,
-            &writes_to,
-            pair,
-            &leaf_events,
-        ));
+        diags.extend(engine.check_handshake(pair, &leaf_events));
     }
 
     diags
 }
 
-/// Builds one [`Body`]: CFG plus its wait-until nodes.
-fn make_body<'a>(
-    owner: StmtOwner,
-    name: String,
-    stmts: &'a [Stmt],
-    map: Option<&SourceMap>,
-) -> Body<'a> {
-    let cfg = Cfg::build(owner, stmts, map);
-    let mut waits = Vec::new();
-    for (node, cn) in cfg.nodes.iter().enumerate() {
-        let Some(path) = &cn.path else { continue };
-        if let Some(Stmt::Wait(WaitCond::Until(cond))) = stmt_at(stmts, path) {
-            waits.push((node, cond));
-        }
-    }
-    Body {
-        owner,
-        name,
-        stmts,
-        cfg,
-        waits,
-    }
-}
-
-/// Resolves a [`StmtPath`] back to its statement within `root`.
-fn stmt_at<'a>(root: &'a [Stmt], path: &StmtPath) -> Option<&'a Stmt> {
-    let mut current: Option<&'a Stmt> = None;
-    for step in &path.steps {
-        let block: &'a [Stmt] = match current {
-            None => root,
-            Some(s) => s.bodies().get(step.block as usize).copied()?,
+impl<'a> Engine<'a> {
+    /// Builds every body's CFG and the wait and write-site tables.
+    fn new(spec: &'a Spec, map: Option<&SourceMap>) -> Self {
+        let mut engine = Engine {
+            spec,
+            full: absint::global_ranges(spec),
+            bodies: Vec::new(),
+            behavior_body: HashMap::new(),
+            sub_body: HashMap::new(),
+            waits: Vec::new(),
+            wait_at: Vec::new(),
+            sites: Vec::new(),
+            site_start: Vec::new(),
+            writes_to: vec![Vec::new(); spec.variables().count() + spec.signals().count()],
         };
-        current = Some(block.get(step.index as usize)?);
-    }
-    current
-}
-
-/// The writes this statement itself performs (no recursion; nested
-/// statements are their own CFG nodes). `None` values are unknown.
-fn direct_writes(stmt: &Stmt) -> Vec<(Entity, Option<&Expr>)> {
-    let mut out = Vec::new();
-    match stmt {
-        Stmt::Assign { target, value } => {
-            if let Some(v) = target.var_opt() {
-                out.push((Entity::Var(v), Some(value)));
+        for (id, b) in spec.behaviors() {
+            if let Some(stmts) = b.body() {
+                engine.behavior_body.insert(id, engine.bodies.len());
+                engine.add_body(StmtOwner::Behavior(id), b.name(), stmts, map);
             }
         }
-        Stmt::SignalSet { signal, value } => out.push((Entity::Signal(*signal), Some(value))),
-        Stmt::Call { args, .. } => {
-            for a in args {
-                if let modref_spec::stmt::CallArg::Out(lv) = a {
-                    if let Some(v) = lv.var_opt() {
-                        out.push((Entity::Var(v), None));
+        for (id, sub) in spec.subroutines() {
+            engine.sub_body.insert(id, engine.bodies.len());
+            engine.add_body(StmtOwner::Subroutine(id), sub.name(), sub.body(), map);
+        }
+        engine.site_start.push(engine.sites.len());
+        for (i, s) in engine.sites.iter().enumerate() {
+            let slot = engine.slot(s.entity);
+            engine.writes_to[slot].push(i);
+        }
+        engine
+    }
+
+    fn add_body(
+        &mut self,
+        owner: StmtOwner,
+        name: &'a str,
+        stmts: &'a [Stmt],
+        map: Option<&SourceMap>,
+    ) {
+        let body = self.bodies.len();
+        let base = self.wait_at.len();
+        let cfg = Cfg::build(owner, stmts, map);
+        for (node, cn) in cfg.nodes.iter().enumerate() {
+            self.site_start.push(self.sites.len());
+            let mut wait = None;
+            if let Some(stmt) = cn.stmt {
+                if let Stmt::Wait(WaitCond::Until(cond)) = stmt {
+                    wait = Some(self.waits.len());
+                    self.waits.push(Wait { body, node, cond });
+                }
+                absint::stmt_writes(stmt, |entity, value| {
+                    let hull = value.map_or(Interval::TOP, |e| absint::eval(e, &self.full));
+                    self.sites.push(Site {
+                        body,
+                        node,
+                        entity,
+                        hull,
+                    });
+                });
+            }
+            self.wait_at.push(wait);
+        }
+        self.bodies.push(Body {
+            name,
+            stmts,
+            cfg,
+            base,
+        });
+    }
+
+    /// The dense slot of an entity: variables first, then signals.
+    fn slot(&self, e: Entity) -> usize {
+        match e {
+            Entity::Var(v) => v.index(),
+            Entity::Signal(s) => self.full.vars.len() + s.index(),
+        }
+    }
+
+    /// The write sites of an entity.
+    fn writes(&self, e: Entity) -> &[usize] {
+        self.writes_to.get(self.slot(e)).map_or(&[], Vec::as_slice)
+    }
+
+    /// The join of every value ever written to an entity; `None` when
+    /// nothing writes it.
+    fn write_hull(&self, e: Entity) -> Option<Interval> {
+        self.writes(e)
+            .iter()
+            .map(|&i| self.sites[i].hull)
+            .reduce(Interval::join)
+    }
+
+    /// The greatest set of waits that can never pass, by wait index (see
+    /// the module docs). `evals` counts wait-condition evaluations.
+    fn dead_waits(&self, evals: &mut Tally) -> Vec<bool> {
+        let mut readers: Vec<Vec<usize>> = vec![Vec::new(); self.writes_to.len()];
+        for (w, wait) in self.waits.iter().enumerate() {
+            for e in cond_entities(wait.cond) {
+                if let Some(r) = readers.get_mut(self.slot(e)) {
+                    r.push(w);
+                }
+            }
+        }
+        let mut ranges = Ranges::initial(self.spec);
+        let mut dead = vec![true; self.waits.len()];
+        // Every wait is queued once up front; afterwards only a widening
+        // of an entity it reads queues it again.
+        let mut queued = vec![true; self.waits.len()];
+        let mut queue: Vec<usize> = (0..self.waits.len()).rev().collect();
+        let mut reached = vec![false; self.wait_at.len()];
+        let mut stack: Vec<(usize, NodeId)> = Vec::new();
+        for (bi, body) in self.bodies.iter().enumerate() {
+            reached[body.base + body.cfg.entry] = true;
+            stack.push((bi, body.cfg.entry));
+        }
+        loop {
+            while let Some((bi, n)) = stack.pop() {
+                let body = &self.bodies[bi];
+                let g = body.base + n;
+                for site in &self.sites[self.site_start[g]..self.site_start[g + 1]] {
+                    let slot = ranges.slot_mut(site.entity);
+                    let joined = slot.join(site.hull);
+                    if joined == *slot {
+                        continue;
+                    }
+                    *slot = joined;
+                    for &w in &readers[self.slot(site.entity)] {
+                        if dead[w] && !queued[w] {
+                            queued[w] = true;
+                            queue.push(w);
+                        }
+                    }
+                }
+                // A dead wait is entered but never passed: its
+                // successors stay unreachable through it.
+                if self.wait_at[g].is_some_and(|w| dead[w]) {
+                    continue;
+                }
+                for &s in body.cfg.succs(n) {
+                    if !reached[body.base + s] {
+                        reached[body.base + s] = true;
+                        stack.push((bi, s));
+                    }
+                }
+            }
+            let Some(w) = queue.pop() else { break };
+            queued[w] = false;
+            evals.inc();
+            let wait = &self.waits[w];
+            if absint::eval(wait.cond, &ranges).definitely_false() {
+                continue;
+            }
+            dead[w] = false;
+            // Revived after control reached it: control now passes on.
+            if reached[self.bodies[wait.body].base + wait.node] {
+                stack.push((wait.body, wait.node));
+            }
+        }
+        dead
+    }
+
+    /// Infers candidate handshake pairs from server bodies: a signal the
+    /// server's waits read (`req`) paired with each signal the server
+    /// drives (`ack`). A request line that is ever written 0 fails
+    /// [`Engine::check_handshake`]'s first criterion, so it is dropped
+    /// here; every remaining candidate still has to pass all criteria,
+    /// so over-generation is harmless.
+    fn infer_handshakes(&self) -> Vec<HandshakePair> {
+        let mut out = Vec::new();
+        for id in self.spec.reachable() {
+            let b = self.spec.behavior(id);
+            if !b.is_server() || !b.is_leaf() {
+                continue;
+            }
+            let Some(&bi) = self.behavior_body.get(&id) else {
+                continue;
+            };
+            let mut reqs: Vec<SignalId> = Vec::new();
+            let mut acks: Vec<SignalId> = Vec::new();
+            for cn in &self.bodies[bi].cfg.nodes {
+                match cn.stmt {
+                    Some(Stmt::Wait(WaitCond::Until(cond))) => reqs.extend(cond.signal_reads()),
+                    Some(Stmt::SignalSet { signal, .. }) => acks.push(*signal),
+                    _ => {}
+                }
+            }
+            reqs.sort_unstable();
+            reqs.dedup();
+            reqs.retain(|&r| {
+                self.write_hull(Entity::Signal(r))
+                    .is_some_and(|h| !h.contains(0))
+            });
+            acks.sort_unstable();
+            acks.dedup();
+            for &req in &reqs {
+                for &ack in &acks {
+                    if req != ack {
+                        out.push(HandshakePair {
+                            req,
+                            ack,
+                            server: id,
+                        });
                     }
                 }
             }
         }
-        Stmt::For { var, from, to, .. } => {
-            out.push((Entity::Var(*var), Some(from)));
-            out.push((Entity::Var(*var), Some(to)));
-        }
-        _ => {}
+        out
     }
-    out
+
+    /// The `DL05` criteria for one handshake pair. All five must hold:
+    ///
+    /// 1. joined over every write, the request line can never go back
+    ///    to zero (the release was dropped);
+    /// 2. some must-executed path raises the request and then waits for
+    ///    a grant (a wait that is false while `ack` is low);
+    /// 3. the same path later waits for the release (a wait that is
+    ///    false while `ack` is high);
+    /// 4. only the server drives `ack`;
+    /// 5. every write that could lower `ack` is dominated by a server
+    ///    wait that is false while the request is held high.
+    ///
+    /// Under these, whichever way arbitration goes the spec hangs: never
+    /// granted leaves the requester at its grant wait; granted leaves the
+    /// server stuck re-arbitrating on a request that stays high, so the
+    /// acknowledge never drops and the requester's release wait blocks.
+    fn check_handshake(
+        &self,
+        pair: &HandshakePair,
+        leaf_events: &[(BehaviorId, Vec<Ev<'_>>)],
+    ) -> Vec<Diagnostic> {
+        let mut out = Vec::new();
+        let spec = self.spec;
+        let ack_sites = self.writes(Entity::Signal(pair.ack));
+        // (1) the request line, once raised, stays raised: the hull of
+        // everything ever written to it excludes zero.
+        let Some(post) = self.write_hull(Entity::Signal(pair.req)) else {
+            return out;
+        };
+        if ack_sites.is_empty() || post.contains(0) {
+            return out;
+        }
+        // (4) only the server drives the acknowledge line.
+        let Some(&server_bi) = self.behavior_body.get(&pair.server) else {
+            return out;
+        };
+        if ack_sites.iter().any(|&i| self.sites[i].body != server_bi) {
+            return out;
+        }
+        // (5) each possibly-zero ack write sits behind a server wait that
+        // is false while the request is held (the re-arbitration wait).
+        let cfg = &self.bodies[server_bi].cfg;
+        let guard: Vec<bool> = cfg
+            .nodes
+            .iter()
+            .map(|cn| match cn.stmt {
+                Some(Stmt::Wait(WaitCond::Until(cond))) => {
+                    absint::eval_with(cond, &self.full, &[(pair.req, post)]).definitely_false()
+                }
+                _ => false,
+            })
+            .collect();
+        if !guard.contains(&true) {
+            return out;
+        }
+        let mut seen = vec![false; cfg.nodes.len()];
+        let mut stack = vec![cfg.entry];
+        seen[cfg.entry] = true;
+        while let Some(n) = stack.pop() {
+            if guard[n] {
+                continue;
+            }
+            for &s in cfg.succs(n) {
+                if !seen[s] {
+                    seen[s] = true;
+                    stack.push(s);
+                }
+            }
+        }
+        let lowering_escapes = ack_sites
+            .iter()
+            .any(|&i| self.sites[i].hull.contains(0) && seen[self.sites[i].node]);
+        if lowering_escapes {
+            return out;
+        }
+        // (2)+(3): a must-executed raise followed by a grant wait and a
+        // release wait.
+        let low = [(pair.ack, Interval::exact(0))];
+        let high = [(pair.ack, Interval::exact(1))];
+        for (leaf, events) in leaf_events {
+            let mut raise: Option<Option<Span>> = None;
+            let mut granted = false;
+            for ev in events {
+                match ev {
+                    Ev::SigSet { sig, hull, span }
+                        if *sig == pair.req && !hull.contains(0) && raise.is_none() =>
+                    {
+                        raise = Some(*span);
+                    }
+                    Ev::Wait { cond } if raise.is_some() => {
+                        if !granted {
+                            granted = absint::eval_with(cond, &self.full, &low).definitely_false();
+                        } else if absint::eval_with(cond, &self.full, &high).definitely_false() {
+                            // Full acquire/grant/release shape found.
+                            let leaf_name = spec.behavior(*leaf).name().to_string();
+                            out.push(
+                                Diagnostic::new(
+                                    "DL05",
+                                    Severity::Error,
+                                    format!(
+                                        "`{leaf_name}` raises request `{}` and waits on `{}` \
+                                         for grant and release, but nothing ever drives `{}` \
+                                         low again — the arbiter `{}` can never re-arbitrate \
+                                         and the release wait blocks forever",
+                                        spec.signal(pair.req).name(),
+                                        spec.signal(pair.ack).name(),
+                                        spec.signal(pair.req).name(),
+                                        spec.behavior(pair.server).name(),
+                                    ),
+                                )
+                                .with_span(raise.flatten())
+                                .with_object(leaf_name)
+                                .with_fix(format!(
+                                    "release the bus: drive `{}` low after the transaction",
+                                    spec.signal(pair.req).name()
+                                )),
+                            );
+                            raise = None;
+                            granted = false;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        out
+    }
 }
 
 /// Entities a wait condition reads (variables and signals).
@@ -349,37 +569,8 @@ fn cond_entities(cond: &Expr) -> Vec<Entity> {
     out
 }
 
-/// For every write site, whether it is still reachable from its body's
-/// entry without passing through a dead wait (i.e. not dominated by the
-/// dead set).
-fn live_sites(bodies: &[Body<'_>], sites: &[Site], dead: &HashSet<WaitKey>) -> Vec<bool> {
-    let mut reach: Vec<Vec<bool>> = Vec::with_capacity(bodies.len());
-    for (bi, body) in bodies.iter().enumerate() {
-        let cfg = &body.cfg;
-        let mut seen = vec![false; cfg.nodes.len()];
-        let mut stack = vec![cfg.entry];
-        seen[cfg.entry] = true;
-        while let Some(n) = stack.pop() {
-            // A dead wait is entered but never passed: its successors
-            // stay unreachable through it.
-            if dead.contains(&(bi, n)) {
-                continue;
-            }
-            for &s in &cfg.nodes[n].succs {
-                if !seen[s] {
-                    seen[s] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        reach.push(seen);
-    }
-    sites.iter().map(|s| reach[s.body][s.node]).collect()
-}
-
-/// Tarjan's strongly connected components; returns the component index
-/// of each node, with a component counted "cyclic" when it has more
-/// than one node or a self-edge.
+/// Tarjan's strongly connected components of a graph given as
+/// adjacency lists.
 fn tarjan_scc(edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
     let n = edges.len();
     let mut index = vec![usize::MAX; n];
@@ -421,7 +612,6 @@ fn tarjan_scc(edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
                             break;
                         }
                     }
-                    comp.sort_unstable();
                     comps.push(comp);
                 }
                 work.pop();
@@ -529,46 +719,45 @@ enum Ev<'a> {
     SigSet {
         sig: SignalId,
         hull: Interval,
-        path: StmtPath,
+        span: Option<Span>,
     },
     /// `wait until (cond)`.
     Wait { cond: &'a Expr },
 }
 
 /// The must-reach walker: flags `DL01`–`DL04` inline and records the
-/// event stream for the handshake check.
+/// event stream for the handshake check. Statements are addressed by
+/// their CFG node, which follows the statement tree in preorder.
 struct Walk<'a, 'b> {
-    spec: &'a Spec,
-    map: Option<&'b SourceMap>,
-    full: &'b Ranges,
-    bodies: &'b [Body<'a>],
-    sub_body: &'b HashMap<SubroutineId, usize>,
-    dead: &'b HashSet<WaitKey>,
-    dead_index: &'b HashMap<WaitKey, usize>,
-    dead_list: &'b [WaitKey],
-    scc: &'b [Vec<usize>],
-    writes_to: &'b HashMap<Entity, Vec<usize>>,
+    e: &'b Engine<'a>,
+    dead: &'b [bool],
+    cycles: &'b HashMap<usize, String>,
     call_stack: Vec<SubroutineId>,
     events: Vec<Ev<'a>>,
     diags: Vec<Diagnostic>,
 }
 
 impl<'a> Walk<'a, '_> {
-    /// Walks one block; returns `false` when control provably never
-    /// passes beyond it (an infinite loop was entered).
-    fn block(&mut self, bi: usize, stmts: &'a [Stmt], parent: &StmtPath, blk: u8) -> bool {
-        for (i, s) in stmts.iter().enumerate() {
-            let path = parent.child(blk, i as u32);
+    /// Walks one block whose first statement is node `first` of body
+    /// `bi`; returns `false` when control provably never passes beyond
+    /// it (an infinite loop was entered).
+    fn block(&mut self, bi: usize, stmts: &'a [Stmt], first: NodeId) -> bool {
+        let full = &self.e.full;
+        let mut node = first;
+        for s in stmts {
+            let cn = &self.e.bodies[bi].cfg.nodes[node];
+            debug_assert!(cn.stmt.is_some_and(|st| std::ptr::eq(st, s)));
+            let next = cn.end;
             match s {
                 Stmt::Wait(WaitCond::Until(cond)) => {
-                    self.flag_wait(bi, &path, cond);
+                    self.flag_wait(bi, node, cond);
                     self.events.push(Ev::Wait { cond });
                 }
                 Stmt::SignalSet { signal, value } => {
                     self.events.push(Ev::SigSet {
                         sig: *signal,
-                        hull: absint::eval(value, self.full),
-                        path: path.clone(),
+                        hull: absint::eval(value, full),
+                        span: cn.span,
                     });
                 }
                 Stmt::If {
@@ -576,28 +765,33 @@ impl<'a> Walk<'a, '_> {
                     then_body,
                     else_body,
                 } => {
-                    let iv = absint::eval(cond, self.full);
+                    let iv = absint::eval(cond, full);
                     if iv.definitely_true() {
-                        if !self.block(bi, then_body, &path, 0) {
+                        if !self.block(bi, then_body, node + 1) {
                             return false;
                         }
-                    } else if iv.definitely_false() && !self.block(bi, else_body, &path, 1) {
-                        return false;
+                    } else if iv.definitely_false() {
+                        // The else block's nodes follow the then block's.
+                        let nodes = &self.e.bodies[bi].cfg.nodes;
+                        let else_first = then_body.iter().fold(node + 1, |n, _| nodes[n].end);
+                        if !self.block(bi, else_body, else_first) {
+                            return false;
+                        }
                     }
                     // Unknown guard: neither branch is must-executed,
                     // but control always rejoins after the `if`.
                 }
                 Stmt::While { cond, body, .. } => {
-                    let iv = absint::eval(cond, self.full);
+                    let iv = absint::eval(cond, full);
                     if iv.definitely_true() {
                         // No write anywhere can falsify the guard: the
                         // loop never exits. Without a wait or delay it
                         // additionally never yields -> DL03.
                         if !can_pass_time(body) {
-                            self.flag_dl03(bi, &path, "while", cond);
+                            self.flag_dl03(bi, node, "while", cond);
                             return false;
                         }
-                        self.block(bi, body, &path, 0);
+                        self.block(bi, body, node + 1);
                         return false;
                     }
                     // Possibly-zero guard: body is not must-executed,
@@ -605,30 +799,29 @@ impl<'a> Walk<'a, '_> {
                     // terminates or the run is already doomed).
                 }
                 Stmt::For { from, to, body, .. } => {
-                    let f = absint::eval(from, self.full);
-                    let t = absint::eval(to, self.full);
+                    let f = absint::eval(from, full);
+                    let t = absint::eval(to, full);
                     // `for` runs `from < to` iterations; the body is
                     // must-executed when that holds for every value.
-                    if f.hi < t.lo && !self.block(bi, body, &path, 0) {
+                    if f.hi < t.lo && !self.block(bi, body, node + 1) {
                         return false;
                     }
                 }
                 Stmt::Loop { body } => {
                     if !can_pass_time(body) {
-                        self.flag_dl03(bi, &path, "loop", &Expr::Lit(1));
+                        self.flag_dl03(bi, node, "loop", &Expr::Lit(1));
                         return false;
                     }
                     // The first iteration is must-executed; nothing
                     // after an infinite loop ever runs.
-                    self.block(bi, body, &path, 0);
+                    self.block(bi, body, node + 1);
                     return false;
                 }
                 Stmt::Call { sub, .. } => {
                     if !self.call_stack.contains(sub) {
-                        if let Some(&sbi) = self.sub_body.get(sub) {
+                        if let Some(&sbi) = self.e.sub_body.get(sub) {
                             self.call_stack.push(*sub);
-                            let root = StmtPath::root(self.bodies[sbi].owner);
-                            let through = self.block(sbi, self.bodies[sbi].stmts, &root, 0);
+                            let through = self.block(sbi, self.e.bodies[sbi].stmts, Cfg::FIRST);
                             self.call_stack.pop();
                             if !through {
                                 return false;
@@ -641,21 +834,17 @@ impl<'a> Walk<'a, '_> {
                 | Stmt::Delay(_)
                 | Stmt::Skip => {}
             }
+            node = next;
         }
         true
     }
 
-    fn span_of(&self, bi: usize, path: &StmtPath) -> Option<modref_spec::Span> {
-        let _ = bi;
-        self.map.and_then(|m| m.stmt_span(path))
-    }
-
-    fn flag_dl03(&mut self, bi: usize, path: &StmtPath, kind: &str, cond: &Expr) {
-        let body = &self.bodies[bi];
+    fn flag_dl03(&mut self, bi: usize, node: NodeId, kind: &str, cond: &Expr) {
+        let body = &self.e.bodies[bi];
         let detail = if kind == "while" {
             format!(
                 " (`{}` is always true and nothing ever falsifies it)",
-                expr_to_string(self.spec, cond)
+                expr_to_string(self.e.spec, cond)
             )
         } else {
             String::new()
@@ -670,16 +859,16 @@ impl<'a> Walk<'a, '_> {
                     body.name
                 ),
             )
-            .with_span(self.span_of(bi, path))
-            .with_object(body.name.clone())
+            .with_span(body.cfg.nodes[node].span)
+            .with_object(body.name)
             .with_fix("add a `wait` or `delay` inside the loop, or bound it".to_string()),
         );
     }
 
-    fn flag_wait(&mut self, bi: usize, path: &StmtPath, cond: &'a Expr) {
-        let body = &self.bodies[bi];
-        let span = self.span_of(bi, path);
-        let cond_text = expr_to_string(self.spec, cond);
+    fn flag_wait(&mut self, bi: usize, node: NodeId, cond: &'a Expr) {
+        let spec = self.e.spec;
+        let body = &self.e.bodies[bi];
+        let span = body.cfg.nodes[node].span;
         // DL02: the condition needs a signal that no process ever
         // writes — the forgotten half of a handshake. The check is
         // precise: freeze only the unwritten signals at their initial
@@ -689,30 +878,31 @@ impl<'a> Walk<'a, '_> {
         let unwritten: Vec<SignalId> = cond
             .signal_reads()
             .into_iter()
-            .filter(|s| !self.writes_to.contains_key(&Entity::Signal(*s)))
+            .filter(|&s| self.e.writes(Entity::Signal(s)).is_empty())
             .collect();
         if !unwritten.is_empty() {
             let mut loose = Ranges {
-                vars: vec![Interval::TOP; self.spec.variables().count()],
-                signals: vec![Interval::TOP; self.spec.signals().count()],
+                vars: vec![Interval::TOP; spec.variables().count()],
+                signals: vec![Interval::TOP; spec.signals().count()],
             };
             for &s in &unwritten {
-                loose.signals[s.index()] = Interval::exact(self.spec.signal(s).init());
+                loose.signals[s.index()] = Interval::exact(spec.signal(s).init());
             }
             if absint::eval(cond, &loose).definitely_false() {
-                let name = self.spec.signal(unwritten[0]).name().to_string();
+                let name = spec.signal(unwritten[0]).name();
                 self.diags.push(
                     Diagnostic::new(
                         "DL02",
                         Severity::Error,
                         format!(
                             "wait in `{}` blocks forever: no process ever writes signal \
-                             `{name}` (condition `{cond_text}`)",
-                            body.name
+                             `{name}` (condition `{}`)",
+                            body.name,
+                            expr_to_string(spec, cond)
                         ),
                     )
                     .with_span(span)
-                    .with_object(name.clone())
+                    .with_object(name)
                     .with_fix(format!("drive `{name}` from a concurrent process")),
                 );
                 return;
@@ -720,52 +910,34 @@ impl<'a> Walk<'a, '_> {
         }
         // DL01: the condition is value-impossible — no reachable write
         // anywhere can produce a satisfying valuation.
-        if absint::eval(cond, self.full).definitely_false() {
+        if absint::eval(cond, &self.e.full).definitely_false() {
             self.diags.push(
                 Diagnostic::new(
                     "DL01",
                     Severity::Error,
                     format!(
-                        "wait in `{}` can never be enabled: `{cond_text}` is false for every \
+                        "wait in `{}` can never be enabled: `{}` is false for every \
                          value any write can produce",
-                        body.name
+                        body.name,
+                        expr_to_string(spec, cond)
                     ),
                 )
                 .with_span(span)
-                .with_object(body.name.clone())
+                .with_object(body.name)
                 .with_fix("fix the condition or add a write that can satisfy it".to_string()),
             );
             return;
         }
-        let Some(node) = body
-            .cfg
-            .nodes
-            .iter()
-            .position(|n| n.path.as_ref() == Some(path))
-        else {
+        let Some(w) = self.e.wait_at[body.base + node] else {
             return;
         };
-        if !self.dead.contains(&(bi, node)) {
+        if !self.dead[w] {
             return;
         }
         // DL04: writers exist, but every one is trapped behind a wait
         // that is itself dead — report the cycle when there is one.
-        let key = (bi, node);
-        let participants = self
-            .dead_index
-            .get(&key)
-            .and_then(|&wi| self.scc.iter().find(|c| c.contains(&wi)))
-            .filter(|c| c.len() > 1)
-            .map(|c| {
-                let mut names: Vec<&str> = c
-                    .iter()
-                    .map(|&wi| self.bodies[self.dead_list[wi].0].name.as_str())
-                    .collect();
-                names.sort_unstable();
-                names.dedup();
-                names.join("`, `")
-            });
-        let message = match participants {
+        let cond_text = expr_to_string(spec, cond);
+        let message = match self.cycles.get(&w) {
             Some(names) => format!(
                 "circular wait deadlock: `{}` waits on `{cond_text}`, but every write that \
                  could satisfy it is blocked behind the waits of `{names}`",
@@ -780,200 +952,12 @@ impl<'a> Walk<'a, '_> {
         self.diags.push(
             Diagnostic::new("DL04", Severity::Error, message)
                 .with_span(span)
-                .with_object(body.name.clone())
+                .with_object(body.name)
                 .with_fix(
                     "break the cycle: reorder the handshake so one side signals first".to_string(),
                 ),
         );
     }
-}
-
-/// Infers candidate handshake pairs from server bodies: a signal the
-/// server's waits test for zero (`req`) paired with the signals the
-/// server drives (`ack`). Every candidate still has to pass the full
-/// [`check_handshake`] criteria, so over-generation is harmless.
-fn infer_handshakes(
-    spec: &Spec,
-    bodies: &[Body<'_>],
-    behavior_body: &HashMap<BehaviorId, usize>,
-) -> Vec<HandshakePair> {
-    let mut out = Vec::new();
-    for id in spec.reachable() {
-        let b = spec.behavior(id);
-        if !b.is_server() || !b.is_leaf() {
-            continue;
-        }
-        let Some(&bi) = behavior_body.get(&id) else {
-            continue;
-        };
-        let body = &bodies[bi];
-        let mut reqs: Vec<SignalId> = body
-            .waits
-            .iter()
-            .flat_map(|&(_, cond)| cond.signal_reads())
-            .collect();
-        reqs.sort_unstable();
-        reqs.dedup();
-        let mut acks: Vec<SignalId> = Vec::new();
-        for cn in &body.cfg.nodes {
-            let Some(path) = &cn.path else { continue };
-            if let Some(Stmt::SignalSet { signal, .. }) = stmt_at(body.stmts, path) {
-                acks.push(*signal);
-            }
-        }
-        acks.sort_unstable();
-        acks.dedup();
-        for &req in &reqs {
-            for &ack in &acks {
-                if req != ack {
-                    out.push(HandshakePair {
-                        req,
-                        ack,
-                        server: id,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The `DL05` criteria for one handshake pair. All five must hold:
-///
-/// 1. joined over every write, the request line can never go back to
-///    zero (the release was dropped);
-/// 2. some must-executed path raises the request and then waits for a
-///    grant (a wait that is false while `ack` is low);
-/// 3. the same path later waits for the release (a wait that is false
-///    while `ack` is high);
-/// 4. only the server drives `ack`;
-/// 5. every write that could lower `ack` is dominated by a server wait
-///    that is false while the request is held high.
-///
-/// Under these, whichever way arbitration goes the spec hangs: never
-/// granted leaves the requester at its grant wait; granted leaves the
-/// server stuck re-arbitrating on a request that stays high, so the
-/// acknowledge never drops and the requester's release wait blocks.
-#[allow(clippy::too_many_arguments)] // one internal call site
-fn check_handshake(
-    spec: &Spec,
-    map: Option<&SourceMap>,
-    full: &Ranges,
-    bodies: &[Body<'_>],
-    behavior_body: &HashMap<BehaviorId, usize>,
-    sites: &[Site],
-    writes_to: &HashMap<Entity, Vec<usize>>,
-    pair: &HandshakePair,
-    leaf_events: &[(BehaviorId, Vec<Ev<'_>>)],
-) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let req_sites = writes_to.get(&Entity::Signal(pair.req));
-    let ack_sites = writes_to.get(&Entity::Signal(pair.ack));
-    let (Some(req_sites), Some(ack_sites)) = (req_sites, ack_sites) else {
-        return out;
-    };
-    // (1) the request line, once raised, stays raised: the hull of
-    // everything ever written to it excludes zero.
-    let post = req_sites
-        .iter()
-        .map(|&i| sites[i].hull)
-        .reduce(Interval::join)
-        .expect("nonempty write list");
-    if post.contains(0) {
-        return out;
-    }
-    // (4) only the server drives the acknowledge line.
-    let Some(&server_bi) = behavior_body.get(&pair.server) else {
-        return out;
-    };
-    if ack_sites.iter().any(|&i| sites[i].body != server_bi) {
-        return out;
-    }
-    // (5) each possibly-zero ack write sits behind a server wait that
-    // is false while the request is held (the re-arbitration wait).
-    let server = &bodies[server_bi];
-    let guards: HashSet<NodeId> = server
-        .waits
-        .iter()
-        .filter(|&&(_, cond)| absint::eval_with(cond, full, &[(pair.req, post)]).definitely_false())
-        .map(|&(n, _)| n)
-        .collect();
-    if guards.is_empty() {
-        return out;
-    }
-    let cfg = &server.cfg;
-    let mut seen = vec![false; cfg.nodes.len()];
-    let mut stack = vec![cfg.entry];
-    seen[cfg.entry] = true;
-    while let Some(n) = stack.pop() {
-        if guards.contains(&n) {
-            continue;
-        }
-        for &s in &cfg.nodes[n].succs {
-            if !seen[s] {
-                seen[s] = true;
-                stack.push(s);
-            }
-        }
-    }
-    let lowering_escapes = ack_sites
-        .iter()
-        .any(|&i| sites[i].hull.contains(0) && seen[sites[i].node]);
-    if lowering_escapes {
-        return out;
-    }
-    // (2)+(3): a must-executed raise followed by a grant wait and a
-    // release wait.
-    let low = [(pair.ack, Interval::exact(0))];
-    let high = [(pair.ack, Interval::exact(1))];
-    for (leaf, events) in leaf_events {
-        let mut raise: Option<&StmtPath> = None;
-        let mut granted = false;
-        for ev in events {
-            match ev {
-                Ev::SigSet { sig, hull, path }
-                    if *sig == pair.req && !hull.contains(0) && raise.is_none() =>
-                {
-                    raise = Some(path);
-                }
-                Ev::Wait { cond } if raise.is_some() => {
-                    if !granted {
-                        granted = absint::eval_with(cond, full, &low).definitely_false();
-                    } else if absint::eval_with(cond, full, &high).definitely_false() {
-                        // Full acquire/grant/release shape found.
-                        let leaf_name = spec.behavior(*leaf).name().to_string();
-                        let span = raise.and_then(|p| map.and_then(|m| m.stmt_span(p)));
-                        out.push(
-                            Diagnostic::new(
-                                "DL05",
-                                Severity::Error,
-                                format!(
-                                    "`{leaf_name}` raises request `{}` and waits on `{}` for \
-                                     grant and release, but nothing ever drives `{}` low \
-                                     again — the arbiter `{}` can never re-arbitrate and the \
-                                     release wait blocks forever",
-                                    spec.signal(pair.req).name(),
-                                    spec.signal(pair.ack).name(),
-                                    spec.signal(pair.req).name(),
-                                    spec.behavior(pair.server).name(),
-                                ),
-                            )
-                            .with_span(span)
-                            .with_object(leaf_name)
-                            .with_fix(format!(
-                                "release the bus: drive `{}` low after the transaction",
-                                spec.signal(pair.req).name()
-                            )),
-                        );
-                        raise = None;
-                        granted = false;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1153,6 +1137,56 @@ mod tests {
              wait until (go == 1); }\ntop P;\n",
         );
         assert_eq!(codes(&diags), ["DL02"], "{diags:?}");
+    }
+
+    /// A chain of `k` handshakes: `Start` raises `s0`, and stage `i`
+    /// waits for `s{i-1}` before raising `s{i}`. `reversed` declares
+    /// the stages last-first.
+    fn chain(k: usize, reversed: bool) -> String {
+        let mut stages: Vec<String> = (1..=k)
+            .map(|i| {
+                format!(
+                    "behavior S{i} leaf {{ wait until (s{} == 1); set s{i} := 1; }}\n",
+                    i - 1
+                )
+            })
+            .collect();
+        if reversed {
+            stages.reverse();
+        }
+        let names: Vec<String> = (1..=k).map(|i| format!("S{i}; ")).collect();
+        format!(
+            "spec s;\n{}behavior Start leaf {{ set s0 := 1; }}\n{}\
+             behavior T conc {{ children {{ Start; {}}} }}\ntop T;\n",
+            (0..=k)
+                .map(|i| format!("signal s{i} : bit = 0;\n"))
+                .collect::<String>(),
+            stages.concat(),
+            names.concat()
+        )
+    }
+
+    /// Wait-condition evaluations of the dead-wait fixpoint on `src`,
+    /// which must leave no wait dead.
+    fn wait_evals(src: &str) -> u64 {
+        let (spec, _) = parse_with_spans(src).expect("syntax ok");
+        let mut evals = Tally::new(modref_obs::counter("analyze.dl.wait_evals"));
+        let dead = Engine::new(&spec, None).dead_waits(&mut evals);
+        assert!(dead.iter().all(|&d| !d), "every stage passes");
+        evals.get()
+    }
+
+    #[test]
+    fn wait_evaluations_grow_linearly_along_a_handshake_chain() {
+        // Round-based iteration re-evaluates every dead wait each round
+        // and revives one stage per round: k rounds x k waits. The
+        // worklist evaluates each wait once, plus once more when the
+        // signal it reads widens after its first evaluation.
+        for k in [4, 16, 64] {
+            assert_eq!(wait_evals(&chain(k, false)), k as u64, "k = {k}");
+            assert_eq!(wait_evals(&chain(k, true)), 2 * k as u64 - 1, "k = {k}");
+        }
+        assert!(lints(&chain(8, true)).is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use modref_spec::{
 };
 
 use crate::cfg::Cfg;
-use crate::dataflow::{entry_exposed, liveness, maybe_uninit_uses};
+use crate::dataflow::{effects, entry_exposed, liveness, maybe_uninit_uses};
 use crate::diag::{Diagnostic, Severity};
 
 /// Runs every dataflow lint over the spec. The spec must have a sane
@@ -47,21 +47,21 @@ fn per_body_lints(spec: &Spec, map: &SourceMap, out: &mut Vec<Diagnostic>) {
             continue;
         }
         let cfg = Cfg::build(StmtOwner::Behavior(bid), body, Some(map));
+        let fx = effects(&cfg);
 
         // DF01: only for private scalars the body *does* assign somewhere —
         // reading a variable the body never writes just uses its declared
         // initializer, which is the normal way to consume a constant.
-        let defined_somewhere: HashSet<VarId> = cfg
-            .nodes
+        let defined_somewhere: HashSet<VarId> = fx
             .iter()
             .flat_map(|n| n.defs.iter().copied())
             .filter(|v| private.contains(v))
             .collect();
         let mut reported: HashSet<VarId> = HashSet::new();
-        for u in maybe_uninit_uses(&cfg, &defined_somewhere) {
+        for u in maybe_uninit_uses(&cfg, &fx, &defined_somewhere) {
             // `x := x + 1` reads the initializer on purpose; skip
             // self-updates.
-            if cfg.nodes[u.node].defs.contains(&u.var) {
+            if fx[u.node].defs.contains(&u.var) {
                 continue;
             }
             if !reported.insert(u.var) {
@@ -85,10 +85,10 @@ fn per_body_lints(spec: &Spec, map: &SourceMap, out: &mut Vec<Diagnostic>) {
 
         // DF02: a scalar store whose value no later read (nor a
         // re-activation of the behavior) can observe.
-        let exposed = entry_exposed(&cfg, &private);
-        let live_out = liveness(&cfg, &private, &exposed);
+        let exposed = entry_exposed(&cfg, &fx, &private);
+        let live_out = liveness(&cfg, &fx, &private, &exposed);
         for (id, node) in cfg.nodes.iter().enumerate() {
-            let Some(v) = node.assign_scalar else {
+            let Some(v) = fx[id].assign_scalar else {
                 continue;
             };
             if !private.contains(&v) || live_out[id].contains(&v) {

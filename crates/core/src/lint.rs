@@ -30,6 +30,8 @@ pub(crate) fn lint_refined_impl(
     graph: &AccessGraph,
     refined: &Refined,
 ) -> Vec<Diagnostic> {
+    // Under `verify.job` when run as the explore --verify static gate.
+    let _span = modref_obs::span("lint_refined").attr("model", refined.plan.model.name());
     let arch = &refined.architecture;
     let plan = &refined.plan;
 

@@ -457,14 +457,18 @@ impl<'a> Lowerer<'a> {
     }
 
     /// Linearizes an expression to postfix, folding literal subtrees,
-    /// and interns the result in the pool.
+    /// straight onto the end of the pool. Folding only inspects the
+    /// expression's own trailing ops, so earlier pool entries are safe.
     fn expr(&mut self, e: &'a Expr, sub: Option<&'a Subroutine>) -> ExprRef {
-        let mut buf = Vec::new();
-        self.push_expr(&mut buf, e, sub);
-        let off = self.out.pool.len() as u32;
-        let len = buf.len() as u32;
-        self.out.pool.extend(buf);
-        ExprRef { off, len }
+        let mut pool = std::mem::take(&mut self.out.pool);
+        let off = pool.len();
+        self.push_expr(&mut pool, e, sub);
+        let len = (pool.len() - off) as u32;
+        self.out.pool = pool;
+        ExprRef {
+            off: off as u32,
+            len,
+        }
     }
 
     fn push_expr(&mut self, buf: &mut Vec<EOp>, e: &'a Expr, sub: Option<&'a Subroutine>) {

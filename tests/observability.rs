@@ -6,7 +6,8 @@
 //! pins the incremental merge loop's O(n²) pair-score bound. The
 //! simulator's `sim.*` work counters on the medical refinements are
 //! pinned exactly, so a kernel change that alters the schedule or the
-//! micro-step count fails here rather than in a wall-time bench.
+//! micro-step count fails here rather than in a wall-time bench, and so
+//! is the static gate's dead-wait evaluation count.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -256,5 +257,72 @@ fn sim_counters_are_exact() {
         .run()
         .expect("completes");
         assert_eq!(counts(&event), want, "{model}: event-driven kernel");
+    }
+}
+
+/// The static gate's dead-wait fixpoint on the medical Design1
+/// refinements, pinned exactly: `analyze.dl.wait_evals` counts each
+/// wait-condition evaluation, once per wait plus once per widening of
+/// an entity the wait reads after that (Model1 has 112 waits, Model2
+/// 199, Model3 227, Model4 214). In a traced verify, every gate call is
+/// a `lint_refined` span with its model, nested under its `verify.job`.
+#[test]
+fn dl_wait_evals_are_exact_and_the_gate_has_a_span() {
+    let _l = hold();
+    let spec = medical_spec();
+    let graph = AccessGraph::derive(&spec);
+    let alloc = medical_allocation();
+    let part = medical_partition(&spec, &alloc, Design::Design1);
+    let cd = Codesign::from_spec(spec.clone());
+    let pinned = [
+        (ImplModel::Model1, 114),
+        (ImplModel::Model2, 203),
+        (ImplModel::Model3, 232),
+        (ImplModel::Model4, 220),
+    ];
+    for (model, want) in pinned {
+        let refined = refine(&spec, &graph, &alloc, &part, model).expect("medical refines");
+        obs::init(ClockMode::Logical);
+        assert!(cd.lint_refined(&refined).is_empty(), "{model}: clean");
+        let trace = obs::shutdown();
+        assert_eq!(
+            counter_value(&trace, "analyze.dl.wait_evals"),
+            want,
+            "{model}: analyze.dl.wait_evals"
+        );
+    }
+
+    obs::init(ClockMode::Logical);
+    let out = cd
+        .explore(&ExploreOpts::new().with_seeds(2))
+        .expect("exploration succeeds");
+    cd.verify(&out, &VerifyOpts::new())
+        .expect("verification runs");
+    let trace = obs::shutdown();
+    let mut jobs = Vec::new();
+    let mut gates = Vec::new();
+    for e in &trace.events {
+        if let Event::Span {
+            id,
+            parent,
+            name,
+            attrs,
+            ..
+        } = e
+        {
+            match name.as_str() {
+                "verify.job" => jobs.push(*id),
+                "lint_refined" => gates.push((*parent, attrs)),
+                _ => {}
+            }
+        }
+    }
+    assert_eq!(gates.len(), jobs.len(), "one gate call per verify job");
+    for (parent, attrs) in gates {
+        assert!(
+            jobs.contains(&parent),
+            "lint_refined nests under verify.job"
+        );
+        assert!(attrs.iter().any(|(k, _)| k == "model"), "{attrs:?}");
     }
 }
